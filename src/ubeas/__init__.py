@@ -7,14 +7,13 @@ from .config import (
     ClassProfile,
     ConfigError,
     GameConfig,
-    PowerLevel,
     assign_behavior_classes,
     dbm_to_watts,
     load_config,
     load_config_file,
     watts_to_dbm,
 )
-from .channel import CellTopology, FadingState, gain_matrix, generate_topology, path_loss_gain
+from .channel import CellTopology, FadingState, gain_matrix, generate_topology
 from .game import (
     FollowerState,
     LeaderState,
@@ -37,7 +36,7 @@ from .harness import (
     run_experiment,
     summarize,
 )
-from .link import MODULATIONS, ModulationParams, fit_pdr_params, pdr_from_sinr, sinr, target_sinr
-from .npc import NpcVariant, npc_best_response, npc_utility, run_npc_game
+from .link import MODULATIONS, ModulationParams, fit_pdr_params, pdr_from_sinr, target_sinr
+from .npc import run_npc_game
 
 __version__ = "0.1.0"

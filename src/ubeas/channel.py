@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ClassProfile, GameConfig, assign_behavior_classes
+from .config import ClassProfile, ConfigError, GameConfig, assign_behavior_classes
 
 
 @dataclass(frozen=True)
@@ -70,19 +70,13 @@ def generate_topology(cfg: GameConfig, rng: np.random.Generator,
             seps = np.linalg.norm(tx - candidate, axis=1)
             if np.all(seps >= cfg.min_link_distance):
                 return candidate
-        raise RuntimeError(f"receiver placement for pair {i} did not terminate")
+        raise ConfigError(f"no receiver position for pair {i} in 10000 draws: the cell is "
+                          f"too crowded for min_link_distance = {cfg.min_link_distance} m")
 
     rx = np.vstack([draw_rx(i) for i in range(m)])
     diff = tx[:, None, :] - rx[None, :, :]
     distances = np.linalg.norm(diff, axis=2)
     return CellTopology(bs, cellular, tx, rx, tuple(profiles), distances)
-
-
-def path_loss_gain(d: float, cfg: GameConfig) -> float:
-    """Deterministic amplitude gain A_PL * (d0/d)**(alpha/2); decreasing in d."""
-    if d <= 0.0:
-        raise ValueError(f"distance must be positive, got {d}")
-    return cfg.path_loss_attenuation * (cfg.reference_distance / d) ** (cfg.path_loss_exponent / 2.0)
 
 
 def path_loss_amplitudes(topology: CellTopology, cfg: GameConfig) -> np.ndarray:
@@ -102,10 +96,6 @@ class FadingState:
 
     def __init__(self, shape: tuple[int, int], n_osc: int, doppler: float,
                  rng: np.random.Generator) -> None:
-        self.shape = shape
-        self.n_osc = n_osc
-        self.doppler = doppler
-        self.t = 0
         angles = rng.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
         phases = rng.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
         self._osc = np.exp(1j * phases)
@@ -115,7 +105,6 @@ class FadingState:
     def advance(self) -> np.ndarray:
         """Step every link by one stage and return the new envelope amplitudes."""
         self._osc *= self._rot
-        self.t += 1
         return np.abs(self._osc.sum(axis=-1)) * self._norm
 
 

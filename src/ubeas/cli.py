@@ -79,12 +79,11 @@ def _cmd_run(args) -> int:
             raise ConfigError("--verify nash requires --freeze-fading (a frozen channel)")
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        summary, trajectories = run_experiment(cfg, game=args.game, jobs=args.jobs)
+        files = emit_outputs(summary, trajectories, args.out)
     except (ConfigError, OSError) as exc:
         print(f"ubeas: {exc}", file=sys.stderr)
         return 1
-
-    summary, trajectories = run_experiment(cfg, game=args.game, jobs=args.jobs)
-    files = emit_outputs(summary, trajectories, args.out)
     if args.dump_topology:
         topo_path = f"{args.out}/topology.csv"
         dump_topology_csv(trajectories[0].topology, topo_path)
@@ -92,8 +91,9 @@ def _cmd_run(args) -> int:
     for path in files:
         print(f"wrote {path}")
     for behavior, dbm in summary.mean_power_dbm.items():
-        pdr = summary.mean_pdr[behavior]
-        print(f"{behavior.label}: mean power {dbm:.2f} dBm, mean PDR {pdr:.4f}")
+        pdr = summary.mean_pdr.get(behavior)
+        served = f"mean PDR {pdr:.4f}" if pdr is not None else "no served pair-stages"
+        print(f"{behavior.label}: mean power {dbm:.2f} dBm, {served}")
 
     if args.verify == "nash":
         traj = trajectories[0]

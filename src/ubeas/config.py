@@ -38,25 +38,6 @@ def watts_to_dbm(p_watts: float) -> float:
     return 10.0 * math.log10(p_watts * 1e3)
 
 
-@dataclass(frozen=True, slots=True)
-class PowerLevel:
-    """A transmit power.  Canonical unit is watts; dBm and mW views provided."""
-
-    watts: float
-
-    @classmethod
-    def from_dbm(cls, p_dbm: float) -> "PowerLevel":
-        return cls(dbm_to_watts(p_dbm))
-
-    @property
-    def dbm(self) -> float:
-        return watts_to_dbm(self.watts)
-
-    @property
-    def milliwatts(self) -> float:
-        return self.watts * 1e3
-
-
 # ---------------------------------------------------------------------------
 # Behavior classes.
 # ---------------------------------------------------------------------------
@@ -131,7 +112,6 @@ class GameConfig:
     cell_radius: float = 500.0            # m
     max_pair_distance: float = 50.0       # m, tx-rx separation within a pair
     min_link_distance: float = 1.0        # m, floor for any tx->rx distance
-    carrier_frequency: float = 2.0e9      # Hz
     num_pairs: int = 24                   # D2D pairs per cell
 
     # Channel model
@@ -145,7 +125,6 @@ class GameConfig:
     # Transmit powers (watts)
     p_min: float = dbm_to_watts(0.0)
     p_max: float = dbm_to_watts(23.0)
-    cellular_power: float = dbm_to_watts(14.0)     # fixed, overlay: non-interfering
 
     # Run lengths
     stages: int = 100                     # T
@@ -191,13 +170,11 @@ class GameConfig:
             "cell_radius": self.cell_radius,
             "max_pair_distance": self.max_pair_distance,
             "min_link_distance": self.min_link_distance,
-            "carrier_frequency": self.carrier_frequency,
             "reference_distance": self.reference_distance,
             "path_loss_exponent": self.path_loss_exponent,
             "path_loss_attenuation": self.path_loss_attenuation,
             "noise_power": self.noise_power,
             "p_min": self.p_min,
-            "cellular_power": self.cellular_power,
             "kappa_c": self.kappa_c,
             "delta": self.delta,
             "q": self.q,
@@ -216,8 +193,8 @@ class GameConfig:
                 raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
         if self.num_pairs < 1:
             raise ConfigError(f"num_pairs must be >= 1, got {self.num_pairs}")
-        if self.stages < 0:
-            raise ConfigError(f"stages must be >= 0, got {self.stages}")
+        if self.stages < 1:
+            raise ConfigError(f"stages must be >= 1, got {self.stages}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.jakes_oscillators < 1:
@@ -230,6 +207,9 @@ class GameConfig:
             raise ConfigError("min_link_distance must be below max_pair_distance")
         if self.p_min >= self.p_max:
             raise ConfigError(f"power bounds must satisfy p_min < p_max, got [{self.p_min}, {self.p_max}]")
+        if self.br_tolerance < math.ulp(self.p_max):
+            raise ConfigError(f"br_tolerance must be at least ulp(p_max) = {math.ulp(self.p_max):.3g} "
+                              f"for the best-response bisection to end, got {self.br_tolerance}")
         if self.w < 1.0:
             raise ConfigError(f"w must be >= 1 for a concave serious utility, got {self.w}")
         if self.q <= 2.0:
@@ -250,9 +230,6 @@ class GameConfig:
             raise ConfigError(
                 f"unknown modulation {self.modulation!r}; known: {sorted(link.MODULATIONS)}"
             )
-        mod = link.MODULATIONS[self.modulation]
-        if not (mod.a < 0 and mod.b < 0):
-            raise ConfigError(f"modulation {self.modulation!r} requires a < 0 and b < 0")
 
 
 # Keys accepted in config files, mirroring the GameConfig field names.

@@ -28,6 +28,9 @@ Each class must meet its target SINR, so the best-response search runs over
 the feasible set [max(p_min, p_req), p_max] with p_req = g_bar * I / g_own;
 if even p_max cannot reach the target the follower transmits at p_max and is
 flagged as in outage.
+
+The NPC baseline (``npc``) is the same follower game with no leader and no
+price (x is None); both games run on play_stage and play_repetition.
 """
 
 from __future__ import annotations
@@ -140,59 +143,74 @@ def class_target_sinr(behavior: BehaviorClass, cfg: GameConfig) -> float:
     return _cached_target_sinr(behavior, cfg.priority_mode, cfg.modulation)
 
 
-def performance_value(behavior: BehaviorClass, p: float, own_gain: float,
-                      interference: float, target: float, cfg: GameConfig) -> float:
-    """Class-specific performance term, before the satisfaction price."""
+def payoff(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
+           interference: float, target: float, cfg: GameConfig) -> float:
+    """Class performance term minus the satisfaction price; no price when x is None.
+
+    Unvalidated inner form of follower_utility, for loops that have checked
+    the gains and looked up the class target SINR once.
+    """
     gamma = p * own_gain / interference
     if behavior is BehaviorClass.CASUAL:
-        return (target / gamma) * p
-    if behavior is BehaviorClass.INTERMEDIATE:
+        value = (target / gamma) * p
+    elif behavior is BehaviorClass.INTERMEDIATE:
         err = target - gamma
-        return -cfg.s * p - cfg.c * err * err
-    mod = cfg.modulation_params
-    # h_i / pdr**v evaluated in log space; deep fades push pdr below the
-    # smallest normal float and the penalty toward infinity.
-    exponent = -cfg.v * mod.a * gamma ** mod.b
-    if exponent > 700.0:
-        return -math.inf
-    return -(p ** cfg.w) - cfg.h_i * math.exp(exponent)
+        value = -cfg.s * p - cfg.c * err * err
+    else:
+        mod = cfg.modulation_params
+        # h_i / pdr**v evaluated in log space; deep fades push pdr below the
+        # smallest normal float and the penalty toward infinity.
+        exponent = -cfg.v * mod.a * gamma ** mod.b
+        if exponent > 700.0:
+            value = -math.inf
+        else:
+            value = -(p ** cfg.w) - cfg.h_i * math.exp(exponent)
+    if x is None:
+        return value
+    return value - satisfaction_price(x, p, cfg)
 
 
-def performance_gradient(behavior: BehaviorClass, p: float, own_gain: float,
-                         interference: float, target: float, cfg: GameConfig) -> float:
-    """d(performance)/dp; uses d(gamma)/dp = gamma / p."""
+def payoff_gradient(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
+                    interference: float, target: float, cfg: GameConfig) -> float:
+    """d(payoff)/dp, using d(gamma)/dp = gamma / p; the price adds -dD/dp unless x is None."""
     gamma = p * own_gain / interference
     if behavior is BehaviorClass.CASUAL:
-        return 0.0
-    if behavior is BehaviorClass.INTERMEDIATE:
-        return -cfg.s + 2.0 * cfg.c * gamma * (target - gamma) / p
-    mod = cfg.modulation_params
-    gamma_b = gamma ** mod.b
-    exponent = -cfg.v * mod.a * gamma_b
-    if exponent > 700.0:
-        return math.inf
-    return (-cfg.w * p ** (cfg.w - 1.0)
-            + cfg.h_i * cfg.v * mod.a * mod.b * gamma_b * math.exp(exponent) / p)
+        slope = 0.0
+    elif behavior is BehaviorClass.INTERMEDIATE:
+        slope = -cfg.s + 2.0 * cfg.c * gamma * (target - gamma) / p
+    else:
+        mod = cfg.modulation_params
+        gamma_b = gamma ** mod.b
+        exponent = -cfg.v * mod.a * gamma_b
+        if exponent > 700.0:
+            slope = math.inf
+        else:
+            slope = (-cfg.w * p ** (cfg.w - 1.0)
+                     + cfg.h_i * cfg.v * mod.a * mod.b * gamma_b * math.exp(exponent) / p)
+    if x is None:
+        return slope
+    return slope - price_gradient_power(x, p, cfg)
 
 
-def follower_utility(behavior: BehaviorClass, x: float, p: float, own_gain: float,
+def follower_utility(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
                      interference: float, cfg: GameConfig) -> float:
-    """Utility of one follower with the interference treated as fixed."""
+    """Utility of one follower with the interference treated as fixed.
+
+    x is the leader's satisfaction, or None for the price-free NPC game.
+    """
     if interference <= 0.0:
         raise ValueError(f"interference plus noise must be positive, got {interference}")
     target = class_target_sinr(behavior, cfg)
-    return (performance_value(behavior, p, own_gain, interference, target, cfg)
-            - satisfaction_price(x, p, cfg))
+    return payoff(behavior, x, p, own_gain, interference, target, cfg)
 
 
-def follower_utility_gradient(behavior: BehaviorClass, x: float, p: float, own_gain: float,
-                              interference: float, cfg: GameConfig) -> float:
-    """dU/dp for one follower; the price contributes -dD/dp for every class."""
+def follower_utility_gradient(behavior: BehaviorClass, x: float | None, p: float,
+                              own_gain: float, interference: float, cfg: GameConfig) -> float:
+    """dU/dp for one follower; x is None for the price-free NPC game."""
     if interference <= 0.0:
         raise ValueError(f"interference plus noise must be positive, got {interference}")
     target = class_target_sinr(behavior, cfg)
-    return (performance_gradient(behavior, p, own_gain, interference, target, cfg)
-            - price_gradient_power(x, p, cfg))
+    return payoff_gradient(behavior, x, p, own_gain, interference, target, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +277,14 @@ def required_power(target: float, own_gain: float, interference: float) -> float
     return target * interference / own_gain
 
 
-def follower_best_response(behavior: BehaviorClass, x: float, own_gain: float,
+def follower_best_response(behavior: BehaviorClass, x: float | None, own_gain: float,
                            interference: float, cfg: GameConfig) -> tuple[float, bool]:
     """Utility-maximizing power on the feasible set, plus an outage flag.
 
     The feasible set is [max(p_min, p_req), p_max]; when p_req exceeds p_max
-    the follower transmits at p_max and is flagged as in outage.
+    the follower transmits at p_max and is flagged as in outage.  With x None
+    (no price) the casual utility is constant in its own power, so the whole
+    feasible set is optimal and the minimum feasible power is chosen.
     """
     if own_gain <= 0.0:
         raise ValueError(f"own-link gain must be positive, got {own_gain}")
@@ -274,27 +294,38 @@ def follower_best_response(behavior: BehaviorClass, x: float, own_gain: float,
     return _best_response_with_target(behavior, target, x, own_gain, interference, cfg)
 
 
+def _best_response_with_target(behavior: BehaviorClass, target: float, x: float | None,
+                               own_gain: float, interference: float,
+                               cfg: GameConfig) -> tuple[float, bool]:
+    p_req = required_power(target, own_gain, interference)
+    if p_req > cfg.p_max:
+        return cfg.p_max, True
+    lo = max(cfg.p_min, p_req)
+    power = maximize_concave(
+        lambda p: payoff(behavior, x, p, own_gain, interference, target, cfg),
+        lambda p: payoff_gradient(behavior, x, p, own_gain, interference, target, cfg),
+        lo, cfg.p_max, cfg.br_tolerance,
+    )
+    return power, False
+
+
 # ---------------------------------------------------------------------------
 # Stage protocol and trajectories.
 # ---------------------------------------------------------------------------
 
 @dataclass(slots=True)
 class LeaderState:
-    """Base-station satisfaction together with its last measured average power."""
+    """Base-station satisfaction and the stage it was set at."""
 
     x: float
-    kappa_c: float
     t: int = 0
-    p_bar: float = 0.0
 
 
 @dataclass(slots=True)
 class FollowerAgent:
-    """Per-pair persistent game state: class, QoS targets and current power."""
+    """Per-pair persistent game state, in pair order: class, target SINR and power."""
 
-    index: int
     behavior: BehaviorClass
-    target_pdr: float
     target_sinr: float
     power: float
 
@@ -324,10 +355,6 @@ class StageRecord:
     class_pdr: dict[BehaviorClass, float]
 
     @property
-    def outages(self) -> tuple[bool, ...]:
-        return tuple(f.outage for f in self.followers)
-
-    @property
     def powers(self) -> np.ndarray:
         return np.array([f.power for f in self.followers])
 
@@ -339,7 +366,6 @@ class Trajectory:
     records: tuple[StageRecord, ...]
     topology: CellTopology
     final_gains: np.ndarray
-    profiles: tuple[ClassProfile, ...]
     config: GameConfig
 
     @property
@@ -375,17 +401,31 @@ def measure_followers(agents: list[FollowerAgent], x: float | None, gains: np.nd
     for i, agent in enumerate(agents):
         gamma = float(sinrs[i])
         pdr = link.pdr_from_sinr(gamma, mod)
-        if x is None:
-            price = 0.0
-            utility = performance_value(agent.behavior, agent.power, float(gains[i, i]),
-                                        float(interference[i]), agent.target_sinr, cfg)
-        else:
-            price = satisfaction_price(x, agent.power, cfg)
-            utility = performance_value(agent.behavior, agent.power, float(gains[i, i]),
-                                        float(interference[i]), agent.target_sinr, cfg) - price
-        states.append(FollowerState(agent.index, agent.behavior, agent.power, gamma,
+        price = 0.0 if x is None else satisfaction_price(x, agent.power, cfg)
+        utility = payoff(agent.behavior, x, agent.power, float(gains[i, i]),
+                         float(interference[i]), agent.target_sinr, cfg)
+        states.append(FollowerState(i, agent.behavior, agent.power, gamma,
                                     pdr, utility, price, outages[i]))
     return tuple(states)
+
+
+def play_stage(agents: list[FollowerAgent], x: float | None, reference_powers: np.ndarray,
+               gains: np.ndarray, t: int, cfg: GameConfig) -> StageRecord:
+    """Best responses to the interference of reference_powers, then measurement.
+
+    x is the leader's satisfaction, or None for the leaderless game.
+    """
+    interference = link.interference_all(reference_powers, gains, cfg.noise_power)
+    outages = []
+    for i, agent in enumerate(agents):
+        power, outage = _best_response_with_target(
+            agent.behavior, agent.target_sinr, x, float(gains[i, i]),
+            float(interference[i]), cfg)
+        agent.power = power
+        outages.append(outage)
+    followers = measure_followers(agents, x, gains, outages, cfg)
+    power_dbm, mean_pdr = class_means(followers)
+    return StageRecord(t, x, followers, power_dbm, mean_pdr)
 
 
 def run_stage(leader: LeaderState, agents: list[FollowerAgent], gains: np.ndarray,
@@ -400,76 +440,46 @@ def run_stage(leader: LeaderState, agents: list[FollowerAgent], gains: np.ndarra
     """
     t = leader.t + 1
     prev_powers = np.array([agent.power for agent in agents])
-    p_bar = float(prev_powers.mean())
     if t == 1:
         x = cfg.x_init
     else:
-        x = leader_best_satisfaction(leader.x, p_bar, float(t), cfg.x_floor)
-    interference = link.interference_all(prev_powers, gains, cfg.noise_power)
-
-    outages = []
-    for i, agent in enumerate(agents):
-        power, outage = _best_response_with_target(
-            agent.behavior, agent.target_sinr, x, float(gains[i, i]),
-            float(interference[i]), cfg)
-        agent.power = power
-        outages.append(outage)
-
+        x = leader_best_satisfaction(leader.x, float(prev_powers.mean()), float(t), cfg.x_floor)
     leader.t = t
     leader.x = x
-    leader.p_bar = p_bar
-    followers = measure_followers(agents, x, gains, outages, cfg)
-    power_dbm, mean_pdr = class_means(followers)
-    return StageRecord(t, x, followers, power_dbm, mean_pdr)
+    return play_stage(agents, x, prev_powers, gains, t, cfg)
 
 
-def _best_response_with_target(behavior: BehaviorClass, target: float, x: float,
-                               own_gain: float, interference: float,
-                               cfg: GameConfig) -> tuple[float, bool]:
-    p_req = required_power(target, own_gain, interference)
-    if p_req > cfg.p_max:
-        return cfg.p_max, True
-    lo = max(cfg.p_min, p_req)
-    power = maximize_concave(
-        lambda p: (performance_value(behavior, p, own_gain, interference, target, cfg)
-                   - satisfaction_price(x, p, cfg)),
-        lambda p: (performance_gradient(behavior, p, own_gain, interference, target, cfg)
-                   - price_gradient_power(x, p, cfg)),
-        lo, cfg.p_max, cfg.br_tolerance,
-    )
-    return power, False
-
-
-def build_agents(profiles: tuple[ClassProfile, ...], initial_powers: np.ndarray,
-                 cfg: GameConfig) -> list[FollowerAgent]:
-    mod = cfg.modulation_params
-    return [
-        FollowerAgent(i, profile.behavior, profile.target_pdr,
-                      link.target_sinr(profile.target_pdr, mod), float(initial_powers[i]))
-        for i, profile in enumerate(profiles)
-    ]
-
-
-def run_game(cfg: GameConfig, repetition: int = 0,
-             profiles: list[ClassProfile] | None = None) -> Trajectory:
-    """Simulate one full repetition of the Stackelberg game.
+def play_repetition(cfg: GameConfig, repetition: int, profiles: list[ClassProfile] | None,
+                    stage: Callable[..., StageRecord]) -> Trajectory:
+    """Simulate one repetition, calling stage(agents, gains, t, powers_rng) at t = 1..T.
 
     Topology, fading and the uniform-random initial powers are drawn from
-    independent substreams of (seed, repetition), so a paired baseline run
-    with the same seed sees the identical channel.
+    independent substreams of (seed, repetition), so both games with the same
+    seed see the identical channel; the powers substream is left to the stage
+    policy after the initial draw.
     """
     rngs = rng_streams(cfg.seed, repetition)
     topology = generate_topology(cfg, rngs.topology, profiles)
     m = topology.num_pairs
     fading = FadingState((m, m), cfg.jakes_oscillators, cfg.doppler, rngs.fading)
     initial = rngs.powers.uniform(cfg.p_min, cfg.p_max, size=m)
-    agents = build_agents(topology.profiles, initial, cfg)
-    leader = LeaderState(x=cfg.x_init, kappa_c=cfg.kappa_c)
+    mod = cfg.modulation_params
+    agents = [
+        FollowerAgent(profile.behavior, link.target_sinr(profile.target_pdr, mod), float(initial[i]))
+        for i, profile in enumerate(topology.profiles)
+    ]
     pl_amp = path_loss_amplitudes(topology, cfg)
 
     records = []
-    gains = np.empty((m, m))
-    for _ in range(cfg.stages):
+    for t in range(1, cfg.stages + 1):
         gains = gain_matrix(topology, fading.advance(), cfg, pl_amp)
-        records.append(run_stage(leader, agents, gains, cfg))
-    return Trajectory(tuple(records), topology, gains, topology.profiles, cfg)
+        records.append(stage(agents, gains, t, rngs.powers))
+    return Trajectory(tuple(records), topology, gains, cfg)
+
+
+def run_game(cfg: GameConfig, repetition: int = 0,
+             profiles: list[ClassProfile] | None = None) -> Trajectory:
+    """Simulate one full repetition of the Stackelberg game."""
+    leader = LeaderState(x=cfg.x_init)
+    return play_repetition(cfg, repetition, profiles,
+                           lambda agents, gains, _t, _rng: run_stage(leader, agents, gains, cfg))

@@ -2,8 +2,7 @@
 
 Repetitions are independent and own RNG substreams derived from (seed, rep),
 so results are identical for any execution order or degree of parallelism.
-Power statistics are averaged in linear watts and converted to dBm only for
-display.
+Transmit powers are averaged in dBm (the mean of per-sample dBm values).
 """
 
 from __future__ import annotations
@@ -16,20 +15,20 @@ from pathlib import Path
 import numpy as np
 
 from . import link
-from .config import BehaviorClass, CLASS_ORDER, GameConfig
+from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig, watts_to_dbm
 from .game import (
     StageRecord,
     Trajectory,
     class_target_sinr,
+    follower_best_response,
     leader_utility,
-    performance_value,
+    payoff,
     required_power,
     run_game,
-    satisfaction_price,
 )
 from .npc import run_npc_game
 
-GAME_KINDS = ("ubeas", "npc")
+GAMES = {"ubeas": run_game, "npc": run_npc_game}
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +66,6 @@ class ExperimentSummary:
     outage_rate: float
 
 
-def _to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts * 1e3)
-
-
 def _x_profile_ok(records) -> bool:
     """Satisfaction is nondecreasing once past its running minimum and holds 1."""
     xs = [r.x for r in records]
@@ -93,7 +88,7 @@ def summarize(trajectories: list[Trajectory]) -> ExperimentSummary:
     stages = len(trajectories[0].records)
     if any(len(t.records) != stages for t in trajectories):
         raise ValueError("trajectories must all have the same number of stages")
-    game = "npc" if (stages and trajectories[0].records[0].x is None) else "ubeas"
+    game = "npc" if trajectories[0].records[0].x is None else "ubeas"
 
     dbm_sum = {b: 0.0 for b in BehaviorClass}
     dbm_sq_sum = {b: 0.0 for b in BehaviorClass}
@@ -123,7 +118,7 @@ def summarize(trajectories: list[Trajectory]) -> ExperimentSummary:
                 stage_x[k] += record.x
             for f in record.followers:
                 b = f.behavior
-                dbm = _to_dbm(f.power)
+                dbm = watts_to_dbm(f.power)
                 dbm_sum[b] += dbm
                 dbm_sq_sum[b] += dbm * dbm
                 power_n[b] += 1
@@ -195,9 +190,13 @@ def summarize(trajectories: list[Trajectory]) -> ExperimentSummary:
 def _run_one(args: tuple[GameConfig, str, int]) -> Trajectory:
     cfg, kind, rep = args
     try:
-        if kind == "ubeas":
-            return run_game(cfg, repetition=rep)
-        return run_npc_game(cfg, repetition=rep)
+        return GAMES[kind](cfg, repetition=rep)
+    except ConfigError as exc:
+        raise ConfigError(f"repetition {rep}: {exc}") from exc
+    except (ArithmeticError, ValueError) as exc:
+        # A validated config passes every domain guard of the model unless its
+        # scales push gains, SINR or PDR out of floating-point range.
+        raise ConfigError(f"repetition {rep}: {exc} (numbers out of floating-point range)") from exc
     except Exception as exc:
         raise RuntimeError(f"repetition {rep} failed: {exc}") from exc
 
@@ -210,8 +209,8 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas", jobs: int = 1,
     Deterministic for a fixed seed regardless of jobs; repetitions are always
     aggregated in index order.
     """
-    if game not in GAME_KINDS:
-        raise ValueError(f"unknown game kind {game!r}; expected one of {GAME_KINDS}")
+    if game not in GAMES:
+        raise ValueError(f"unknown game kind {game!r}; expected one of {tuple(GAMES)}")
     tasks = [(cfg, game, rep) for rep in range(cfg.repetitions)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -259,15 +258,10 @@ def check_epsilon_nash(record: StageRecord, gains: np.ndarray, cfg: GameConfig,
         else:
             lo, hi = max(cfg.p_min, p_req), cfg.p_max
 
-        def utility(p: float) -> float:
-            value = performance_value(state.behavior, p, own, interference, target, cfg)
-            if record.x is not None:
-                value -= satisfaction_price(record.x, p, cfg)
-            return value
-
-        current = utility(float(powers[i]))
-        grid = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
-        best = max(utility(float(p)) for p in grid)
+        behavior, x = state.behavior, record.x
+        current = payoff(behavior, x, float(powers[i]), own, interference, target, cfg)
+        grid = np.linspace(lo, hi, grid_points).tolist() if hi > lo else [lo]
+        best = max(payoff(behavior, x, p, own, interference, target, cfg) for p in grid)
         deviation_gains.append(best - current)
 
     worst = int(np.argmax(deviation_gains)) if deviation_gains else None
@@ -276,9 +270,9 @@ def check_epsilon_nash(record: StageRecord, gains: np.ndarray, cfg: GameConfig,
     leader_ok = True
     if record.x is not None:
         p_bar = float(powers.mean())
-        x_grid = np.linspace(cfg.x_floor, 1.0, grid_points)
+        x_grid = np.linspace(cfg.x_floor, 1.0, grid_points).tolist()
         best_x = max(
-            leader_utility(float(xg), p_bar, float(record.t), record.x, cfg.kappa_c)
+            leader_utility(xg, p_bar, float(record.t), record.x, cfg.kappa_c)
             for xg in x_grid
         )
         current_x = leader_utility(record.x, p_bar, float(record.t), record.x, cfg.kappa_c)
@@ -323,8 +317,6 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20,
     behaviors = [f.behavior for f in final.followers]
     x = final.x
 
-    from .game import follower_best_response
-
     replay_stages = 0
     for _ in range(window):
         replay_stages += 1
@@ -353,13 +345,9 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20,
         top = float(powers[i]) - reduction_quantum
         if top <= lo:
             continue  # already at the bottom of its feasible set
-        current = (performance_value(behaviors[i], float(powers[i]), own, interference,
-                                     targets[i], cfg)
-                   - satisfaction_price(x, float(powers[i]), cfg))
-        for p in np.linspace(lo, top, grid_points):
-            value = (performance_value(behaviors[i], float(p), own, interference,
-                                       targets[i], cfg)
-                     - satisfaction_price(x, float(p), cfg))
+        current = payoff(behaviors[i], x, float(powers[i]), own, interference, targets[i], cfg)
+        for p in np.linspace(lo, top, grid_points).tolist():
+            value = payoff(behaviors[i], x, p, own, interference, targets[i], cfg)
             if value >= current and p >= p_req:
                 minimality_ok = False
                 break
@@ -379,7 +367,7 @@ def _class_power_deltas(trajectory: Trajectory) -> dict[BehaviorClass, float]:
     for record in trajectory.records:
         bucket = post if record.t >= conv else pre
         for f in record.followers:
-            bucket[f.behavior].append(_to_dbm(f.power))
+            bucket[f.behavior].append(watts_to_dbm(f.power))
     deltas = {}
     for b in BehaviorClass:
         if pre[b] and post[b]:
@@ -427,7 +415,7 @@ def emit_outputs(summary: ExperimentSummary, trajectories: list[Trajectory],
                 for f in record.followers:
                     fh.write(",".join([
                         str(rep), str(record.t), str(f.index), f.behavior.label,
-                        _fmt(record.x), _fmt(_to_dbm(f.power)), _fmt(f.sinr),
+                        _fmt(record.x), _fmt(watts_to_dbm(f.power)), _fmt(f.sinr),
                         _fmt(f.pdr), _fmt(f.utility), _fmt(f.price), _fmt(f.outage),
                     ]) + "\n")
     written.append(path)
@@ -462,29 +450,18 @@ def emit_outputs(summary: ExperimentSummary, trajectories: list[Trajectory],
             fh.write(f"{k + 1},{_fmt(x)}\n")
     written.append(path)
 
-    path = out / "class_power.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,casual_dbm,intermediate_dbm,serious_dbm\n")
-        for k in range(summary.stages):
-            cells = [
-                _fmt(summary.stage_class_power_dbm[b][k])
-                if b in summary.stage_class_power_dbm else ""
-                for b in CLASS_ORDER
-            ]
-            fh.write(f"{k + 1}," + ",".join(cells) + "\n")
-    written.append(path)
-
-    path = out / "class_pdr.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,casual,intermediate,serious\n")
-        for k in range(summary.stages):
-            cells = [
-                _fmt(summary.stage_class_pdr[b][k])
-                if b in summary.stage_class_pdr else ""
-                for b in CLASS_ORDER
-            ]
-            fh.write(f"{k + 1}," + ",".join(cells) + "\n")
-    written.append(path)
+    per_class_series = (
+        ("class_power.csv", "t,casual_dbm,intermediate_dbm,serious_dbm", summary.stage_class_power_dbm),
+        ("class_pdr.csv", "t,casual,intermediate,serious", summary.stage_class_pdr),
+    )
+    for name, header, series in per_class_series:
+        path = out / name
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header + "\n")
+            for k in range(summary.stages):
+                cells = [_fmt(series[b][k]) if b in series else "" for b in CLASS_ORDER]
+                fh.write(f"{k + 1}," + ",".join(cells) + "\n")
+        written.append(path)
 
     path = out / "long.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -54,22 +54,6 @@ MODULATIONS = {
 }
 
 
-def sinr(i: int, powers: Sequence[float], gains: np.ndarray, noise: float) -> float:
-    """Linear SINR at the receiver of pair i.
-
-    gains[j, i] is the linear power gain from transmitter j to receiver i; all
-    pairs share the same spectrum, so every other transmitter interferes.
-    """
-    m = len(powers)
-    if not 0 <= i < m:
-        raise IndexError(f"pair index {i} out of range for {m} pairs")
-    interference = 0.0
-    for j in range(m):
-        if j != i:
-            interference += powers[j] * gains[j, i]
-    return powers[i] * gains[i, i] / (interference + noise)
-
-
 def interference_all(powers: np.ndarray, gains: np.ndarray, noise: float) -> np.ndarray:
     """Interference-plus-noise at every receiver, excluding each pair's own signal."""
     received = powers @ gains
@@ -88,13 +72,6 @@ def pdr_from_sinr(gamma: float, mod: ModulationParams) -> float:
     if gamma <= 0.0:
         raise ValueError(f"SINR must be positive, got {gamma}")
     return math.exp(mod.a * gamma ** mod.b)
-
-
-def pdr_slope(gamma: float, mod: ModulationParams) -> float:
-    """Analytic d(pdr)/d(gamma) = pdr * a * b * gamma**(b-1)."""
-    if gamma <= 0.0:
-        raise ValueError(f"SINR must be positive, got {gamma}")
-    return pdr_from_sinr(gamma, mod) * mod.a * mod.b * gamma ** (mod.b - 1.0)
 
 
 def target_sinr(pdr_tgt: float, mod: ModulationParams) -> float:

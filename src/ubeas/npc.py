@@ -1,11 +1,11 @@
 """Non-cooperative power control (NPC) baselines.
 
-The baselines reuse the three follower performance terms with the BS
-satisfaction price removed, and run with no leader.  Each stage every player
-picks a planning power from the action set, then maximizes its price-free
-utility against the implied interference over the same feasible set as the
-main game (the target-SINR floor is kept, otherwise the casual baseline is
-degenerate: its utility is constant in its own power).
+The baseline is the U-BeAS follower game with no leader: x is None, so no
+satisfaction price is charged, and the same three follower performance terms
+are maximized over the same feasible set (the target-SINR floor is kept,
+otherwise the casual baseline is degenerate: its utility is constant in its
+own power).  It runs on the stage engine of ``game``; only the planning
+powers that set each stage's interference differ.
 
 With ``npc_rerandomize`` on (the default) the planning powers are redrawn
 uniformly from the action set every stage, so players keep optimizing against
@@ -16,103 +16,39 @@ channel.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
-from . import link
-from .channel import FadingState, gain_matrix, generate_topology, path_loss_amplitudes
-from .config import BehaviorClass, ClassProfile, GameConfig, rng_streams
+from .config import ClassProfile, GameConfig
 from .game import (
     FollowerAgent,
     StageRecord,
     Trajectory,
-    build_agents,
-    class_means,
-    class_target_sinr,
-    maximize_concave,
-    measure_followers,
-    performance_gradient,
-    performance_value,
-    required_power,
+    play_repetition,
+    play_stage,
 )
+# Not called here: bench/tracing.py looks these names up in this module as well
+# as in game, whose stage engine calls them.
+from .channel import gain_matrix, generate_topology  # noqa: F401
+from .game import class_means, maximize_concave, measure_followers  # noqa: F401
 
 
-class NpcVariant(Enum):
-    CASUAL_NPC = BehaviorClass.CASUAL
-    INTERMEDIATE_NPC = BehaviorClass.INTERMEDIATE
-    SERIOUS_NPC = BehaviorClass.SERIOUS
+def planning_powers(agents: list[FollowerAgent], t: int, rng: np.random.Generator,
+                    cfg: GameConfig) -> np.ndarray:
+    """Powers whose interference each player answers at stage t.
 
-    @property
-    def behavior(self) -> BehaviorClass:
-        return self.value
-
-    @classmethod
-    def for_behavior(cls, behavior: BehaviorClass) -> "NpcVariant":
-        return {v.behavior: v for v in cls}[behavior]
-
-
-def npc_utility(variant: NpcVariant, p: float, own_gain: float, interference: float,
-                cfg: GameConfig) -> float:
-    """Price-free utility; satisfies npc_utility + price = priced utility exactly."""
-    if interference <= 0.0:
-        raise ValueError(f"interference plus noise must be positive, got {interference}")
-    target = class_target_sinr(variant.behavior, cfg)
-    return performance_value(variant.behavior, p, own_gain, interference, target, cfg)
-
-
-def npc_utility_gradient(variant: NpcVariant, p: float, own_gain: float,
-                         interference: float, cfg: GameConfig) -> float:
-    if interference <= 0.0:
-        raise ValueError(f"interference plus noise must be positive, got {interference}")
-    target = class_target_sinr(variant.behavior, cfg)
-    return performance_gradient(variant.behavior, p, own_gain, interference, target, cfg)
-
-
-def npc_best_response(variant: NpcVariant, own_gain: float, interference: float,
-                      cfg: GameConfig) -> tuple[float, bool]:
-    """Argmax of the price-free utility over the feasible power set.
-
-    The casual variant's utility is constant in its own power, so the whole
-    feasible set is optimal; the minimum feasible power is chosen.
+    Stage 1 answers the initial powers; later stages answer a fresh uniform
+    draw from the action set, or the previous stage's choices when
+    ``npc_rerandomize`` is off.
     """
-    if own_gain <= 0.0:
-        raise ValueError(f"own-link gain must be positive, got {own_gain}")
-    if interference <= 0.0:
-        raise ValueError(f"interference plus noise must be positive, got {interference}")
-    target = class_target_sinr(variant.behavior, cfg)
-    return _npc_best_response_with_target(variant.behavior, target, own_gain,
-                                          interference, cfg)
+    if t == 1 or not cfg.npc_rerandomize:
+        return np.array([agent.power for agent in agents])
+    return rng.uniform(cfg.p_min, cfg.p_max, size=len(agents))
 
 
-def _npc_best_response_with_target(behavior: BehaviorClass, target: float, own_gain: float,
-                                   interference: float, cfg: GameConfig) -> tuple[float, bool]:
-    p_req = required_power(target, own_gain, interference)
-    if p_req > cfg.p_max:
-        return cfg.p_max, True
-    lo = max(cfg.p_min, p_req)
-    power = maximize_concave(
-        lambda p: performance_value(behavior, p, own_gain, interference, target, cfg),
-        lambda p: performance_gradient(behavior, p, own_gain, interference, target, cfg),
-        lo, cfg.p_max, cfg.br_tolerance,
-    )
-    return power, False
-
-
-def run_npc_stage(agents: list[FollowerAgent], planning_powers: np.ndarray,
+def run_npc_stage(agents: list[FollowerAgent], planning: np.ndarray,
                   gains: np.ndarray, t: int, cfg: GameConfig) -> StageRecord:
     """One baseline stage: maximize each price-free utility, then measure."""
-    interference = link.interference_all(planning_powers, gains, cfg.noise_power)
-    outages = []
-    for i, agent in enumerate(agents):
-        power, outage = _npc_best_response_with_target(
-            agent.behavior, agent.target_sinr, float(gains[i, i]),
-            float(interference[i]), cfg)
-        agent.power = power
-        outages.append(outage)
-    followers = measure_followers(agents, None, gains, outages, cfg)
-    power_dbm, mean_pdr = class_means(followers)
-    return StageRecord(t, None, followers, power_dbm, mean_pdr)
+    return play_stage(agents, None, planning, gains, t, cfg)
 
 
 def run_npc_game(cfg: GameConfig, repetition: int = 0,
@@ -122,22 +58,7 @@ def run_npc_game(cfg: GameConfig, repetition: int = 0,
     Shares the topology and fading substreams with the main game, so a run
     with the same seed is a paired comparison over the identical channel.
     """
-    rngs = rng_streams(cfg.seed, repetition)
-    topology = generate_topology(cfg, rngs.topology, profiles)
-    m = topology.num_pairs
-    fading = FadingState((m, m), cfg.jakes_oscillators, cfg.doppler, rngs.fading)
-    initial = rngs.powers.uniform(cfg.p_min, cfg.p_max, size=m)
-    agents = build_agents(topology.profiles, initial, cfg)
-    pl_amp = path_loss_amplitudes(topology, cfg)
-
-    records = []
-    gains = np.empty((m, m))
-    planning = initial
-    for t in range(1, cfg.stages + 1):
-        gains = gain_matrix(topology, fading.advance(), cfg, pl_amp)
-        records.append(run_npc_stage(agents, planning, gains, t, cfg))
-        if cfg.npc_rerandomize:
-            planning = rngs.powers.uniform(cfg.p_min, cfg.p_max, size=m)
-        else:
-            planning = np.array([agent.power for agent in agents])
-    return Trajectory(tuple(records), topology, gains, topology.profiles, cfg)
+    return play_repetition(
+        cfg, repetition, profiles,
+        lambda agents, gains, t, rng: run_npc_stage(
+            agents, planning_powers(agents, t, rng, cfg), gains, t, cfg))

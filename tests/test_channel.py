@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ubeas.channel import (
+    CellTopology,
     FadingState,
     gain_matrix,
     generate_topology,
     path_loss_amplitudes,
-    path_loss_gain,
 )
 from ubeas.config import BehaviorClass, ClassProfile, GameConfig, rng_streams
 
@@ -15,23 +15,27 @@ def small_cfg(**kw):
     return GameConfig(**{"num_pairs": 6, **kw})
 
 
+def path_loss_at(distances, cfg):
+    """Path-loss amplitudes from one transmitter to receivers at the given distances."""
+    d = np.asarray(distances, dtype=float).reshape(1, -1)
+    layout = CellTopology(np.zeros(2), np.zeros(2), np.zeros((1, 2)),
+                          np.zeros((d.shape[1], 2)), (), d)
+    return path_loss_amplitudes(layout, cfg)[0]
+
+
 def test_path_loss_reference_points():
     cfg = GameConfig()
     a_pl = cfg.path_loss_attenuation
-    assert path_loss_gain(20.0, cfg) == a_pl
-    assert abs(path_loss_gain(40.0, cfg) - a_pl * 0.25) < 1e-18
-    assert abs(path_loss_gain(200.0, cfg) - a_pl * 0.01) < 1e-18
-    with pytest.raises(ValueError):
-        path_loss_gain(0.0, cfg)
-    with pytest.raises(ValueError):
-        path_loss_gain(-5.0, cfg)
+    at_20, at_40, at_200 = path_loss_at([20.0, 40.0, 200.0], cfg)
+    assert at_20 == a_pl
+    assert abs(at_40 - a_pl * 0.25) < 1e-18
+    assert abs(at_200 - a_pl * 0.01) < 1e-18
 
 
 def test_path_loss_monotone():
     cfg = GameConfig()
-    ds = np.linspace(1.0, 1000.0, 400)
-    gains = [path_loss_gain(float(d), cfg) for d in ds]
-    assert all(g1 > g2 for g1, g2 in zip(gains, gains[1:]))
+    gains = path_loss_at(np.linspace(1.0, 1000.0, 400), cfg)
+    assert np.all(gains[:-1] > gains[1:])
 
 
 def test_topology_respects_geometry_bounds():

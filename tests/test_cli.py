@@ -1,4 +1,13 @@
+import contextlib
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubeas.cli import main
 from ubeas.link import MODULATIONS
@@ -80,3 +89,81 @@ def test_fit_rejects_missing_file(capsys):
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("config_text, extra_args", [
+    ("num_pairs = 4\n", []),
+    ("cell_radius = 2\nmax_pair_distance = 2\nmin_link_distance = 1.9\nnum_pairs = 12\n", []),
+    ("num_pairs = 6\n", ["--stages", "0"]),
+    ("num_pairs = 6\n", ["--stages", "0", "--game", "npc"]),
+    ("num_pairs = 6\nbr_tolerance = 1e-20\n", ["--game", "npc"]),
+], ids=["pairs-not-multiple-of-3", "crowded-cell", "zero-stages", "zero-stages-npc",
+        "tolerance-below-float-spacing"])
+def test_config_that_cannot_run_exits_one(tmp_path, capsys, config_text, extra_args):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text(config_text + "stages = 4\nrepetitions = 2\n", encoding="utf-8")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra_args])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ubeas: ")
+    assert "Traceback" not in err
+
+
+def test_class_without_served_pair_stages_prints_without_pdr(tmp_path, capsys):
+    # at this noise level every pair is in outage, so no class has a PDR mean
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("noise_power = 1e-3\nnum_pairs = 6\nstages = 4\nrepetitions = 2\n",
+                   encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    for label in ("casual", "intermediate", "serious"):
+        assert f"{label}: mean power 23.00 dBm, no served pair-stages" in out
+
+
+# Field draws span valid and invalid values; sizes stay small so each run
+# takes milliseconds.
+CONFIG_FIELDS = {
+    "num_pairs": st.integers(-1, 12),
+    "cell_radius": st.floats(-10.0, 1000.0),
+    "max_pair_distance": st.floats(-1.0, 100.0),
+    "min_link_distance": st.floats(-1.0, 20.0),
+    "reference_distance": st.floats(-1.0, 100.0),
+    "path_loss_exponent": st.floats(-1.0, 6.0),
+    "doppler": st.floats(-0.1, 0.6),
+    "jakes_oscillators": st.integers(-1, 32),
+    "noise_power": st.sampled_from([-1e-13, 0.0, 1e-300, 1e-16, 1e-13, 1e-9, 1e-3, 1.0, 1e300]),
+    "p_min": st.floats(-0.01, 0.3),
+    "p_max": st.floats(-0.01, 0.7),
+    "x_init": st.floats(-0.1, 1.2),
+    "x_floor": st.floats(-0.1, 1.2),
+    "q": st.floats(1.5, 6.0),
+    "y": st.floats(0.5, 4.0),
+    "z": st.floats(-0.1, 2.0),
+    "w": st.floats(0.0, 4.0),
+    "v": st.floats(-1.0, 8.0),
+    "br_tolerance": st.sampled_from([0.0, 1e-20, 1e-17, 1e-12, 1e-9, 1e-4, 0.5]),
+    "modulation": st.sampled_from(["qpsk", "16qam", "64qam", "bpsk"]),
+    "priority_mode": st.booleans(),
+    "npc_rerandomize": st.booleans(),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(overrides=st.fixed_dictionaries({"stages": st.integers(-1, 4)}, optional=CONFIG_FIELDS),
+       game=st.sampled_from(["ubeas", "npc"]))
+def test_any_config_exits_cleanly(overrides, game):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cell.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in overrides.items()), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfg), "--game", game, "--reps", "1",
+                         "--out", str(Path(tmp) / "o")])
+        if code == 1:
+            assert err.getvalue().startswith("ubeas: ")
+            return
+        assert code == 0, err.getvalue()
+        with open(Path(tmp) / "o" / "summary.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        values = [float(cell) for row in rows for cell in row[2:] if cell]
+        assert values and all(math.isfinite(v) for v in values)

@@ -5,7 +5,6 @@ from ubeas.config import (
     BehaviorClass,
     ConfigError,
     GameConfig,
-    PowerLevel,
     assign_behavior_classes,
     dbm_to_watts,
     dump_config,
@@ -38,18 +37,10 @@ def test_watts_to_dbm_rejects_nonpositive():
         watts_to_dbm(-1.0)
 
 
-def test_power_level_views():
-    level = PowerLevel.from_dbm(23.0)
-    assert abs(level.milliwatts - 199.5262) < 1e-3
-    assert abs(level.dbm - 23.0) < 1e-12
-    assert PowerLevel(0.001).dbm == 0.0
-
-
 def test_default_config_matches_reference_table():
     cfg = GameConfig()
     assert cfg.cell_radius == 500.0
     assert cfg.max_pair_distance == 50.0
-    assert cfg.carrier_frequency == 2.0e9
     assert cfg.num_pairs == 24
     assert cfg.reference_distance == 20.0
     assert cfg.path_loss_exponent == 4.0
@@ -58,7 +49,6 @@ def test_default_config_matches_reference_table():
     assert cfg.noise_power == dbm_to_watts(-99.21)
     assert cfg.p_min == dbm_to_watts(0.0)
     assert cfg.p_max == dbm_to_watts(23.0)
-    assert cfg.cellular_power == dbm_to_watts(14.0)
     assert cfg.stages == 100
     assert (cfg.kappa_c, cfg.delta, cfg.q, cfg.y, cfg.z) == (4.0, 1.8, 3.0, 2.001, 0.6)
     assert (cfg.s, cfg.c, cfg.w, cfg.v) == (0.05, 1.0, 2.0, 4.0)

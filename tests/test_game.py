@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ubeas.config import BehaviorClass, ClassProfile, GameConfig
+from ubeas.config import BehaviorClass, ClassProfile, ConfigError, GameConfig
 from ubeas.game import (
     class_target_sinr,
     follower_best_response,
@@ -302,8 +302,9 @@ def test_run_stage_deterministic():
 
 
 def test_run_game_zero_stages():
-    traj = run_game(GameConfig(num_pairs=3, stages=0))
-    assert traj.records == ()
+    # a game needs at least one stage: zero stages is refused before any draw
+    with pytest.raises(ConfigError, match="stages"):
+        run_game(GameConfig(num_pairs=3, stages=0))
 
 
 def test_satisfaction_rises_to_one_and_stays():
@@ -337,10 +338,10 @@ def test_run_stage_protocol_ordering():
     mod = cfg.modulation_params
     from ubeas.link import target_sinr as link_target
     agents = [
-        FollowerAgent(i, b, 0.90, link_target(0.90, mod), float(rng.uniform(cfg.p_min, cfg.p_max)))
-        for i, b in enumerate(BehaviorClass)
+        FollowerAgent(b, link_target(0.90, mod), float(rng.uniform(cfg.p_min, cfg.p_max)))
+        for b in BehaviorClass
     ]
-    leader = LeaderState(x=cfg.x_init, kappa_c=cfg.kappa_c)
+    leader = LeaderState(x=cfg.x_init)
     run_stage(leader, agents, gains, cfg)  # t = 1, x pinned at x_init
     prev_powers = np.array([a.power for a in agents])
     prev_x = leader.x

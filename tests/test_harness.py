@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ubeas.config import BehaviorClass, GameConfig, watts_to_dbm
+from ubeas.config import BehaviorClass, ConfigError, GameConfig, watts_to_dbm
 from ubeas.game import FollowerState, StageRecord, Trajectory, run_game
 from ubeas.harness import (
     TRAJECTORY_HEADER,
@@ -34,7 +34,7 @@ def make_record(t, x, specs):
 
 
 def make_trajectory(records, cfg=SMALL):
-    return Trajectory(tuple(records), None, np.empty((0, 0)), (), cfg)
+    return Trajectory(tuple(records), None, np.empty((0, 0)), cfg)
 
 
 def test_summarize_hand_built_two_stage_trajectory():
@@ -232,5 +232,5 @@ def test_outage_rate_bounds():
 def test_failed_repetition_is_named():
     # 4 pairs cannot be split evenly across the three classes
     cfg = dataclasses.replace(SMALL, num_pairs=4)
-    with pytest.raises(RuntimeError, match="repetition 0"):
+    with pytest.raises(ConfigError, match="repetition 0"):
         run_experiment(cfg, "ubeas")

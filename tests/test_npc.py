@@ -5,17 +5,13 @@ import numpy as np
 from ubeas.config import BehaviorClass, GameConfig
 from ubeas.game import (
     class_target_sinr,
+    follower_best_response,
     follower_utility,
+    follower_utility_gradient,
     run_game,
     satisfaction_price,
 )
-from ubeas.npc import (
-    NpcVariant,
-    npc_best_response,
-    npc_utility,
-    npc_utility_gradient,
-    run_npc_game,
-)
+from ubeas.npc import run_npc_game
 
 CFG = GameConfig()
 
@@ -27,22 +23,17 @@ def draw_instance(rng, gamma_span=(0.3, 20.0)):
     return p, gamma * interference / p, interference
 
 
-def test_variant_behavior_mapping():
-    assert NpcVariant.CASUAL_NPC.behavior is BehaviorClass.CASUAL
-    assert NpcVariant.for_behavior(BehaviorClass.SERIOUS) is NpcVariant.SERIOUS_NPC
-
-
 def test_casual_npc_utility_constant_in_power():
     rng = np.random.default_rng(21)
     for _ in range(100):
         _, own, interf = draw_instance(rng)
         values = {
-            npc_utility(NpcVariant.CASUAL_NPC, float(p), own, interf, CFG)
+            follower_utility(BehaviorClass.CASUAL, None, float(p), own, interf, CFG)
             for p in np.linspace(CFG.p_min, CFG.p_max, 7)
         }
         reference = class_target_sinr(BehaviorClass.CASUAL, CFG) * interf / own
         assert max(values) - min(values) <= 1e-12 * reference
-        g = npc_utility_gradient(NpcVariant.CASUAL_NPC, 0.01, own, interf, CFG)
+        g = follower_utility_gradient(BehaviorClass.CASUAL, None, 0.01, own, interf, CFG)
         assert g == 0.0
 
 
@@ -51,29 +42,29 @@ def test_intermediate_npc_at_target_sinr():
     interf = 5e-12
     for p in (0.004, 0.08):
         own = target * interf / p
-        got = npc_utility(NpcVariant.INTERMEDIATE_NPC, p, own, interf, CFG)
+        got = follower_utility(BehaviorClass.INTERMEDIATE, None, p, own, interf, CFG)
         assert abs(got - (-CFG.s * p)) < 1e-12
 
 
 def test_npc_utility_is_priced_utility_without_price():
     rng = np.random.default_rng(22)
-    for variant in NpcVariant:
+    for behavior in BehaviorClass:
         for _ in range(100):
             p, own, interf = draw_instance(rng)
             x = float(rng.uniform(0.01, 1.0))
-            free = npc_utility(variant, p, own, interf, CFG)
-            priced = follower_utility(variant.behavior, x, p, own, interf, CFG)
+            free = follower_utility(behavior, None, p, own, interf, CFG)
+            priced = follower_utility(behavior, x, p, own, interf, CFG)
             assert free - satisfaction_price(x, p, CFG) == priced
 
 
 def test_npc_best_response_never_below_required_power():
     rng = np.random.default_rng(25)
-    for variant in NpcVariant:
+    for behavior in BehaviorClass:
         for _ in range(100):
             _, own, interf = draw_instance(rng, gamma_span=(0.4, 4.0))
-            target = class_target_sinr(variant.behavior, CFG)
+            target = class_target_sinr(behavior, CFG)
             p_req = target * interf / own
-            power, outage = npc_best_response(variant, own, interf, CFG)
+            power, outage = follower_best_response(behavior, None, own, interf, CFG)
             if outage:
                 assert power == CFG.p_max
             else:
@@ -88,7 +79,7 @@ def test_casual_npc_picks_minimum_feasible_power():
         p_req = target * interf / own
         if p_req > CFG.p_max:
             continue
-        power, _ = npc_best_response(NpcVariant.CASUAL_NPC, own, interf, CFG)
+        power, _ = follower_best_response(BehaviorClass.CASUAL, None, own, interf, CFG)
         assert power == max(CFG.p_min, p_req)
 
 
