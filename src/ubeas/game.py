@@ -53,8 +53,12 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Leader.
 # ---------------------------------------------------------------------------
 
-def leader_utility(x: float, p_bar: float, t: float, x_prev: float, kappa_c: float) -> float:
-    """Quadratic satisfaction utility of the base station at stage t >= 1."""
+def leader_utility(x: float | np.ndarray, p_bar: float, t: float, x_prev: float,
+                   kappa_c: float) -> float | np.ndarray:
+    """Quadratic satisfaction utility of the base station at stage t >= 1.
+
+    x may be an array of satisfactions; the result is then evaluated per point.
+    """
     if p_bar <= 0.0:
         raise ValueError(f"average power must be positive, got {p_bar}")
     if t < 1.0:
@@ -83,16 +87,21 @@ def leader_best_satisfaction(x_prev: float, p_bar: float, t: float,
 # Satisfaction price and its derivatives.
 # ---------------------------------------------------------------------------
 
-def _price_logs(x: float, p: float, cfg: GameConfig) -> tuple[float, float, float]:
+def _log_qx(x: float, cfg: GameConfig) -> float:
     if not 0.0 < x <= 1.0:
         raise ValueError(f"satisfaction must lie in (0, 1], got {x}")
     qx = cfg.q - x
-    yz = cfg.y - p / cfg.z
     if qx <= 1.0:
         raise ValueError(f"price undefined: q - x = {qx} must exceed 1")
+    return math.log(qx)
+
+
+def _price_logs(x: float, p: float, cfg: GameConfig) -> tuple[float, float, float]:
+    log_qx = _log_qx(x, cfg)
+    yz = cfg.y - p / cfg.z
     if yz <= 1.0:
         raise ValueError(f"price undefined: y - p/z = {yz} must exceed 1")
-    return math.log(qx), yz, math.log(yz)
+    return log_qx, yz, math.log(yz)
 
 
 def satisfaction_price(x: float, p: float, cfg: GameConfig) -> float:
@@ -168,6 +177,35 @@ def payoff(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
     if x is None:
         return value
     return value - satisfaction_price(x, p, cfg)
+
+
+def _payoff_on_grid(behavior: BehaviorClass, x: float | None, p: np.ndarray, own_gain: float,
+                    interference: float, target: float, cfg: GameConfig) -> np.ndarray:
+    """payoff at every power of the array p, for the equilibrium verifiers.
+
+    numpy's exp, log and power may differ from math's in the last bit, so the
+    stage path, whose values reach the CSVs, keeps the scalar payoff.
+    """
+    gamma = p * own_gain / interference
+    if behavior is BehaviorClass.CASUAL:
+        value = (target / gamma) * p
+    elif behavior is BehaviorClass.INTERMEDIATE:
+        err = target - gamma
+        value = -cfg.s * p - cfg.c * err * err
+    else:
+        mod = cfg.modulation_params
+        exponent = -cfg.v * mod.a * gamma ** mod.b
+        # The same -inf guard as payoff; the clamp keeps np.exp finite where
+        # np.where discards it.
+        value = np.where(exponent > 700.0, -np.inf,
+                         -(p ** cfg.w) - cfg.h_i * np.exp(np.minimum(exponent, 700.0)))
+    if x is None:
+        return value
+    log_qx = _log_qx(x, cfg)
+    yz = cfg.y - p / cfg.z
+    if np.any(yz <= 1.0):
+        raise ValueError(f"price undefined: y - p/z = {float(yz.min())} must exceed 1")
+    return value - cfg.delta / (log_qx * np.log(yz))
 
 
 def payoff_gradient(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
@@ -290,6 +328,8 @@ def follower_best_response(behavior: BehaviorClass, x: float | None, own_gain: f
         raise ValueError(f"own-link gain must be positive, got {own_gain}")
     if interference <= 0.0:
         raise ValueError(f"interference plus noise must be positive, got {interference}")
+    if x is not None and not 0.0 < x <= 1.0:
+        raise ValueError(f"satisfaction must lie in (0, 1], got {x}")
     target = class_target_sinr(behavior, cfg)
     return _best_response_with_target(behavior, target, x, own_gain, interference, cfg)
 
@@ -301,6 +341,12 @@ def _best_response_with_target(behavior: BehaviorClass, target: float, x: float 
     if p_req > cfg.p_max:
         return cfg.p_max, True
     lo = max(cfg.p_min, p_req)
+    if behavior is BehaviorClass.CASUAL:
+        # The casual performance term (g_bar/g)*p = g_bar*I/g_own does not
+        # depend on the own power and the price only rises with it, so the
+        # lowest feasible power is the best response: Yates' standard
+        # interference function (IEEE JSAC 1995).
+        return lo, False
     power = maximize_concave(
         lambda p: payoff(behavior, x, p, own_gain, interference, target, cfg),
         lambda p: payoff_gradient(behavior, x, p, own_gain, interference, target, cfg),
@@ -402,8 +448,9 @@ def measure_followers(agents: list[FollowerAgent], x: float | None, gains: np.nd
         gamma = float(sinrs[i])
         pdr = link.pdr_from_sinr(gamma, mod)
         price = 0.0 if x is None else satisfaction_price(x, agent.power, cfg)
-        utility = payoff(agent.behavior, x, agent.power, float(gains[i, i]),
-                         float(interference[i]), agent.target_sinr, cfg)
+        # The same subtraction payoff makes, with the price computed once.
+        utility = payoff(agent.behavior, None, agent.power, float(gains[i, i]),
+                         float(interference[i]), agent.target_sinr, cfg) - price
         states.append(FollowerState(i, agent.behavior, agent.power, gamma,
                                     pdr, utility, price, outages[i]))
     return tuple(states)

@@ -19,6 +19,7 @@ from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig, watts_t
 from .game import (
     StageRecord,
     Trajectory,
+    _payoff_on_grid,
     class_target_sinr,
     follower_best_response,
     leader_utility,
@@ -260,8 +261,8 @@ def check_epsilon_nash(record: StageRecord, gains: np.ndarray, cfg: GameConfig,
 
         behavior, x = state.behavior, record.x
         current = payoff(behavior, x, float(powers[i]), own, interference, target, cfg)
-        grid = np.linspace(lo, hi, grid_points).tolist() if hi > lo else [lo]
-        best = max(payoff(behavior, x, p, own, interference, target, cfg) for p in grid)
+        grid = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
+        best = float(_payoff_on_grid(behavior, x, grid, own, interference, target, cfg).max())
         deviation_gains.append(best - current)
 
     worst = int(np.argmax(deviation_gains)) if deviation_gains else None
@@ -270,12 +271,11 @@ def check_epsilon_nash(record: StageRecord, gains: np.ndarray, cfg: GameConfig,
     leader_ok = True
     if record.x is not None:
         p_bar = float(powers.mean())
-        x_grid = np.linspace(cfg.x_floor, 1.0, grid_points).tolist()
-        best_x = max(
-            leader_utility(xg, p_bar, float(record.t), record.x, cfg.kappa_c)
-            for xg in x_grid
-        )
         current_x = leader_utility(record.x, p_bar, float(record.t), record.x, cfg.kappa_c)
+        # The quadratic uses only + - *, so on an array it is the scalar
+        # utility evaluated point by point.
+        x_grid = np.linspace(cfg.x_floor, 1.0, grid_points)
+        best_x = float(leader_utility(x_grid, p_bar, float(record.t), record.x, cfg.kappa_c).max())
         leader_ok = current_x >= best_x - epsilon
 
     passed = leader_ok and worst_gain <= epsilon
@@ -346,12 +346,10 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20,
         if top <= lo:
             continue  # already at the bottom of its feasible set
         current = payoff(behaviors[i], x, float(powers[i]), own, interference, targets[i], cfg)
-        for p in np.linspace(lo, top, grid_points).tolist():
-            value = payoff(behaviors[i], x, p, own, interference, targets[i], cfg)
-            if value >= current and p >= p_req:
-                minimality_ok = False
-                break
-        if not minimality_ok:
+        grid = np.linspace(lo, top, grid_points)
+        values = _payoff_on_grid(behaviors[i], x, grid, own, interference, targets[i], cfg)
+        if np.any((values >= current) & (grid >= p_req)):
+            minimality_ok = False
             break
 
     return ParetoReport(True, conv, minimality_ok, deltas, replay_stages)

@@ -1,20 +1,28 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubeas.config import BehaviorClass, ClassProfile, ConfigError, GameConfig
 from ubeas.game import (
+    _payoff_on_grid,
     class_target_sinr,
     follower_best_response,
     follower_utility,
     follower_utility_gradient,
     leader_best_satisfaction,
     leader_utility,
+    maximize_concave,
+    payoff,
+    payoff_gradient,
     price_curvature_power,
     price_curvature_x,
     price_gradient_power,
     price_gradient_x,
+    required_power,
     run_game,
     run_stage,
     satisfaction_price,
@@ -106,6 +114,34 @@ def test_price_guards_domain():
     with pytest.raises(ValueError):
         # p/z too close to y: the power-side logarithm would flip sign
         satisfaction_price(0.5, 0.7, CFG)
+    # The verifiers' array payoff keeps the same domain checks.
+    target = class_target_sinr(BehaviorClass.SERIOUS, CFG)
+    powers = np.array([CFG.p_min, 0.1, 0.7])
+    with pytest.raises(ValueError):
+        _payoff_on_grid(BehaviorClass.SERIOUS, 0.5, powers, 1e-9, 1e-12, target, CFG)
+    for x in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            _payoff_on_grid(BehaviorClass.SERIOUS, x, powers[:2], 1e-9, 1e-12, target, CFG)
+    assert np.isfinite(_payoff_on_grid(BehaviorClass.SERIOUS, None, powers, 1e-9, 1e-12,
+                                       target, CFG)).all()
+
+
+def test_payoff_on_grid_matches_scalar_payoff():
+    rng = np.random.default_rng(23)
+    for behavior in CLASSES:
+        target = class_target_sinr(behavior, CFG)
+        for x in (None, 0.3, 1.0):
+            _, _, own, interf = draw_instance(rng)
+            # the lowest powers of the wide grid put the serious class in a deep
+            # fade, where both forms return -inf
+            grid = np.concatenate([np.linspace(CFG.p_min, CFG.p_max, 50), [1e-7 * CFG.p_min]])
+            values = _payoff_on_grid(behavior, x, grid, own, interf, target, CFG)
+            for p, value in zip(grid.tolist(), values.tolist()):
+                expected = payoff(behavior, x, p, own, interf, target, CFG)
+                if math.isinf(expected):
+                    assert value == expected
+                else:
+                    assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_price_partials_match_finite_differences():
@@ -243,12 +279,50 @@ def test_casual_best_response_sits_at_feasibility_floor():
         assert power == max(CFG.p_min, p_req)
 
 
+PRIORITY_CFG = dataclasses.replace(CFG, priority_mode=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    own_gain=st.floats(1e-12, 1e-6),
+    # required powers below p_min, inside [p_min, p_max], within br_tolerance
+    # of p_max (so hi - lo <= tol) and above p_max (outage)
+    p_req_wanted=st.one_of(st.floats(1e-5, 1.0),
+                           st.floats(CFG.p_max - CFG.br_tolerance, CFG.p_max)),
+    x=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)),
+    priority=st.booleans(),
+)
+def test_casual_closed_form_equals_generic_solver(own_gain, p_req_wanted, x, priority):
+    cfg = PRIORITY_CFG if priority else CFG
+    behavior = BehaviorClass.CASUAL
+    target = class_target_sinr(behavior, cfg)
+    interf = p_req_wanted * own_gain / target
+    p_req = required_power(target, own_gain, interf)
+    if p_req > cfg.p_max:
+        expected = (cfg.p_max, True)
+    else:
+        expected = (maximize_concave(
+            lambda p: payoff(behavior, x, p, own_gain, interf, target, cfg),
+            lambda p: payoff_gradient(behavior, x, p, own_gain, interf, target, cfg),
+            max(cfg.p_min, p_req), cfg.p_max, cfg.br_tolerance), False)
+    assert follower_best_response(behavior, x, own_gain, interf, cfg) == expected
+
+
 def test_best_response_outage_clamps_to_p_max():
     target = class_target_sinr(BehaviorClass.SERIOUS, CFG)
     interf = 1e-9
     own = target * interf / (CFG.p_max * 2.0)  # p_req = 2 p_max
     power, outage = follower_best_response(BehaviorClass.SERIOUS, 0.5, own, interf, CFG)
     assert outage and power == CFG.p_max
+
+
+def test_best_response_rejects_satisfaction_outside_unit_interval():
+    # the casual class answers without evaluating the price, so the domain
+    # check cannot rest on the price's own guard
+    for behavior in CLASSES:
+        for x in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                follower_best_response(behavior, x, 1e-9, 1e-12, CFG)
 
 
 def test_best_response_matches_grid_argmax():

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from ubeas.config import BehaviorClass, ConfigError, GameConfig, watts_to_dbm
-from ubeas.game import FollowerState, StageRecord, Trajectory, run_game
+from ubeas.game import (
+    FollowerState,
+    StageRecord,
+    Trajectory,
+    class_target_sinr,
+    leader_utility,
+    payoff,
+    required_power,
+    run_game,
+)
 from ubeas.harness import (
     TRAJECTORY_HEADER,
     check_epsilon_nash,
@@ -13,6 +22,7 @@ from ubeas.harness import (
     run_experiment,
     summarize,
 )
+from ubeas.npc import run_npc_game
 
 SMALL = GameConfig(num_pairs=6, stages=20, repetitions=3)
 
@@ -195,6 +205,65 @@ def test_check_epsilon_nash_names_perturbed_follower():
     assert report.worst_gain > 1e-6
 
 
+def scalar_nash_oracle(record, gains, cfg, epsilon, grid_points):
+    """check_epsilon_nash as a loop over the scalar payoff, one grid point at a time.
+
+    Returns (passed, worst_follower, follower_gains, leader_ok).
+    """
+    powers = record.powers
+    deviation_gains = []
+    for i, state in enumerate(record.followers):
+        interference = float(powers @ gains[:, i] - powers[i] * gains[i, i] + cfg.noise_power)
+        own = float(gains[i, i])
+        target = class_target_sinr(state.behavior, cfg)
+        p_req = required_power(target, own, interference)
+        if p_req > cfg.p_max:
+            lo = hi = cfg.p_max
+        else:
+            lo, hi = max(cfg.p_min, p_req), cfg.p_max
+        current = payoff(state.behavior, record.x, float(powers[i]), own, interference,
+                         target, cfg)
+        grid = np.linspace(lo, hi, grid_points).tolist() if hi > lo else [lo]
+        best = max(payoff(state.behavior, record.x, p, own, interference, target, cfg)
+                   for p in grid)
+        deviation_gains.append(best - current)
+    leader_ok = True
+    if record.x is not None:
+        p_bar = float(powers.mean())
+        best_x = max(leader_utility(xg, p_bar, float(record.t), record.x, cfg.kappa_c)
+                     for xg in np.linspace(cfg.x_floor, 1.0, grid_points).tolist())
+        current_x = leader_utility(record.x, p_bar, float(record.t), record.x, cfg.kappa_c)
+        leader_ok = current_x >= best_x - epsilon
+    passed = leader_ok and max(deviation_gains) <= epsilon
+    return passed, int(np.argmax(deviation_gains)), deviation_gains, leader_ok
+
+
+@pytest.mark.parametrize("game,perturbation", [
+    ("ubeas", None), ("npc", None), ("ubeas", "powers"), ("npc", "powers"), ("ubeas", "x"),
+])
+def test_check_epsilon_nash_matches_scalar_oracle(game, perturbation):
+    cfg = GameConfig(num_pairs=12, doppler=0.0, stages=300, npc_rerandomize=False)
+    traj = (run_game if game == "ubeas" else run_npc_game)(cfg)
+    record = traj.records[-1]
+    if perturbation == "powers":
+        record = dataclasses.replace(record, followers=tuple(
+            dataclasses.replace(f, power=min(f.power * 1.03, cfg.p_max))
+            for f in record.followers))
+    elif perturbation == "x":
+        record = dataclasses.replace(record, x=0.5)
+    passed, worst, oracle_gains, leader_ok = scalar_nash_oracle(
+        record, traj.final_gains, cfg, 1e-6, 10_000)
+    # the frozen-channel fixed point certifies, a perturbed record does not
+    assert passed is (perturbation is None)
+    assert leader_ok is (perturbation != "x")
+    report = check_epsilon_nash(record, traj.final_gains, cfg, epsilon=1e-6, grid_points=10_000)
+    assert report.passed is passed
+    assert report.leader_ok is leader_ok
+    assert report.worst_follower == worst
+    assert all(type(g) is float for g in report.follower_gains)
+    assert max(abs(a - b) for a, b in zip(report.follower_gains, oracle_gains)) <= 1e-12
+
+
 def test_check_epsilon_nash_single_pair():
     from ubeas.config import ClassProfile
     cfg = GameConfig(num_pairs=1, doppler=0.0, stages=30)
@@ -212,6 +281,22 @@ def test_check_pareto_convergence_on_default_run():
     assert report.convergence_stage is not None
     for b in (BehaviorClass.CASUAL, BehaviorClass.INTERMEDIATE):
         assert report.class_power_delta_dbm[b] <= 0.5
+
+
+def test_check_pareto_minimality_catches_planted_violation():
+    cfg = GameConfig(num_pairs=6, doppler=0.0, stages=200)
+    traj = run_game(cfg)
+    assert check_pareto_convergence(traj, window=0).minimality_ok
+    final = traj.records[-1]
+    victim = next(f for f in final.followers if f.behavior is BehaviorClass.INTERMEDIATE)
+    assert 2.0 * victim.power <= cfg.p_max
+    bumped = tuple(dataclasses.replace(f, power=2.0 * f.power) if f is victim else f
+                   for f in final.followers)
+    forced = dataclasses.replace(
+        traj, records=traj.records[:-1] + (dataclasses.replace(final, followers=bumped),))
+    report = check_pareto_convergence(forced, window=0)
+    assert report.converged
+    assert not report.minimality_ok
 
 
 def test_check_pareto_reports_unconverged_trajectory():
