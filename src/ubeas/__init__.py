@@ -15,7 +15,6 @@ from .config import (
 )
 from .channel import CellTopology, FadingState, gain_matrix, generate_topology
 from .game import (
-    FollowerState,
     LeaderState,
     StageRecord,
     Trajectory,

@@ -376,84 +376,85 @@ class FollowerAgent:
     power: float
 
 
-@dataclass(frozen=True, slots=True)
-class FollowerState:
-    """Measured outcome of one follower at one stage."""
-
-    index: int
-    behavior: BehaviorClass
-    power: float
-    sinr: float
-    pdr: float
-    utility: float
-    price: float
-    outage: bool
+# One follower's measured outcome at one stage.  A repetition is a (T, M)
+# record array of it; a stage is one (M,) row.
+RECORD_DTYPE = np.dtype([("power", float), ("sinr", float), ("pdr", float),
+                         ("utility", float), ("price", float), ("outage", bool)], align=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageRecord:
-    """Leader satisfaction plus all follower outcomes for one stage."""
+    """Leader satisfaction plus every follower's outcome at one stage."""
 
     t: int
     x: float | None
-    followers: tuple[FollowerState, ...]
-    class_power_dbm: dict[BehaviorClass, float]
-    class_pdr: dict[BehaviorClass, float]
+    behaviors: tuple[BehaviorClass, ...]
+    outcomes: np.recarray
 
     @property
     def powers(self) -> np.ndarray:
-        return np.array([f.power for f in self.followers])
+        return self.outcomes.power.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """All stage records of one repetition plus the channel context behind them."""
+    """One repetition: the (T, M) outcome records, x per stage (None for the
+    leaderless game), the pairs' classes and the channel context behind them."""
 
-    records: tuple[StageRecord, ...]
+    outcomes: np.recarray
+    x: np.ndarray | None
+    behaviors: tuple[BehaviorClass, ...]
     topology: CellTopology
     final_gains: np.ndarray
     config: GameConfig
 
     @property
+    def records(self) -> tuple[StageRecord, ...]:
+        """The stages as StageRecord views of the outcome rows."""
+        xs = [None] * len(self.outcomes) if self.x is None else self.x.tolist()
+        return tuple(StageRecord(t, x, self.behaviors, row)
+                     for t, (x, row) in enumerate(zip(xs, self.outcomes), 1))
+
+    @property
     def convergence_stage(self) -> int | None:
-        for record in self.records:
-            if record.x == 1.0:
-                return record.t
-        return None
+        hits = np.flatnonzero(self.x == 1.0) if self.x is not None else ()
+        return int(hits[0]) + 1 if len(hits) else None
 
 
-def class_means(followers: tuple[FollowerState, ...]) -> tuple[dict, dict]:
-    """Per-class mean transmit power (dBm, averaged in watts) and mean PDR."""
+def class_means(record: StageRecord) -> tuple[dict, dict]:
+    """Per-class mean power (dBm of the mean in watts) and mean PDR of one stage; unused."""
     power_dbm: dict[BehaviorClass, float] = {}
     mean_pdr: dict[BehaviorClass, float] = {}
     for behavior in BehaviorClass:
-        members = [f for f in followers if f.behavior is behavior]
+        members = [i for i, b in enumerate(record.behaviors) if b is behavior]
         if not members:
             continue
-        watts = sum(f.power for f in members) / len(members)
+        watts = sum(record.outcomes.power[members].tolist()) / len(members)
         power_dbm[behavior] = 10.0 * math.log10(watts * 1e3)
-        mean_pdr[behavior] = sum(f.pdr for f in members) / len(members)
+        mean_pdr[behavior] = sum(record.outcomes.pdr[members].tolist()) / len(members)
     return power_dbm, mean_pdr
 
 
 def measure_followers(agents: list[FollowerAgent], x: float | None, gains: np.ndarray,
-                      outages: list[bool], cfg: GameConfig) -> tuple[FollowerState, ...]:
-    """Evaluate SINR, PDR, utility and price at the powers just selected."""
+                      outages: list[bool], cfg: GameConfig) -> np.recarray:
+    """SINR, PDR, utility and price at the powers just selected, as an (M,) record array."""
     powers = np.array([agent.power for agent in agents])
     interference = link.interference_all(powers, gains, cfg.noise_power)
     sinrs = powers * np.diagonal(gains) / interference
     mod = cfg.modulation_params
-    states = []
-    for i, agent in enumerate(agents):
-        gamma = float(sinrs[i])
-        pdr = link.pdr_from_sinr(gamma, mod)
+    pdrs, utilities, prices = [], [], []
+    for agent, gamma, own, interf in zip(agents, sinrs.tolist(), np.diagonal(gains).tolist(),
+                                         interference.tolist()):
+        pdrs.append(link.pdr_from_sinr(gamma, mod))
         price = 0.0 if x is None else satisfaction_price(x, agent.power, cfg)
+        prices.append(price)
         # The same subtraction payoff makes, with the price computed once.
-        utility = payoff(agent.behavior, None, agent.power, float(gains[i, i]),
-                         float(interference[i]), agent.target_sinr, cfg) - price
-        states.append(FollowerState(i, agent.behavior, agent.power, gamma,
-                                    pdr, utility, price, outages[i]))
-    return tuple(states)
+        utilities.append(payoff(agent.behavior, None, agent.power, own, interf,
+                                agent.target_sinr, cfg) - price)
+    record = np.recarray(len(agents), RECORD_DTYPE)
+    for name, column in zip(RECORD_DTYPE.names, (powers, sinrs, pdrs, utilities, prices, outages)):
+        record[name] = column
+    return record
 
 
 def play_stage(agents: list[FollowerAgent], x: float | None, reference_powers: np.ndarray,
@@ -470,9 +471,8 @@ def play_stage(agents: list[FollowerAgent], x: float | None, reference_powers: n
             float(interference[i]), cfg)
         agent.power = power
         outages.append(outage)
-    followers = measure_followers(agents, x, gains, outages, cfg)
-    power_dbm, mean_pdr = class_means(followers)
-    return StageRecord(t, x, followers, power_dbm, mean_pdr)
+    outcomes = measure_followers(agents, x, gains, outages, cfg)
+    return StageRecord(t, x, tuple(agent.behavior for agent in agents), outcomes)
 
 
 def run_stage(leader: LeaderState, agents: list[FollowerAgent], gains: np.ndarray,
@@ -517,11 +517,15 @@ def play_repetition(cfg: GameConfig, repetition: int, profiles: list[ClassProfil
     ]
     pl_amp = path_loss_amplitudes(topology, cfg)
 
-    records = []
+    outcomes = np.recarray((cfg.stages, m), RECORD_DTYPE)
+    xs = []
     for t in range(1, cfg.stages + 1):
         gains = gain_matrix(topology, fading.advance(), cfg, pl_amp)
-        records.append(stage(agents, gains, t, rngs.powers))
-    return Trajectory(tuple(records), topology, gains, cfg)
+        record = stage(agents, gains, t, rngs.powers)
+        outcomes[t - 1] = record.outcomes
+        xs.append(record.x)
+    x = None if xs[0] is None else np.array(xs)
+    return Trajectory(outcomes, x, record.behaviors, topology, gains, cfg)
 
 
 def run_game(cfg: GameConfig, repetition: int = 0,

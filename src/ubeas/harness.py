@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import link
-from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig, watts_to_dbm
+from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig
 from .game import (
     StageRecord,
     Trajectory,
@@ -67,11 +67,9 @@ class ExperimentSummary:
     outage_rate: float
 
 
-def _x_profile_ok(records) -> bool:
+def _x_profile_ok(x: np.ndarray) -> bool:
     """Satisfaction is nondecreasing once past its running minimum and holds 1."""
-    xs = [r.x for r in records]
-    if any(x is None for x in xs):
-        return False
+    xs = x.tolist()
     min_pos = int(np.argmin(xs))
     tail = xs[min_pos:]
     if any(b < a for a, b in zip(tail, tail[1:])):
@@ -82,109 +80,95 @@ def _x_profile_ok(records) -> bool:
     return all(x == 1.0 for x in xs[first_one:])
 
 
+def _dbm(powers: np.ndarray) -> np.ndarray:
+    """watts_to_dbm of every power, through math.log10 as the scalar form computes it."""
+    logs = np.fromiter(map(math.log10, (powers * 1e3).ravel().tolist()), float, powers.size)
+    return 10.0 * logs.reshape(powers.shape)
+
+
+def _total(values: np.ndarray) -> float:
+    """Left-to-right sum of a 1-D array, as a scalar loop adds it."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
+def _stage_totals(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Per stage, the left-to-right sum over (rep, pair) of the (R, T, M) values
+    whose pair is in the (R, M) mask members."""
+    return np.add.accumulate(values.transpose(1, 0, 2)[:, members], axis=1)[:, -1]
+
+
 def summarize(trajectories: list[Trajectory]) -> ExperimentSummary:
-    """Aggregate equal-length trajectories into an ExperimentSummary."""
+    """Aggregate equal-shape trajectories into an ExperimentSummary.
+
+    Sums run in (repetition, stage, pair) order, left to right, so every
+    figure is the one a per-sample loop computes, bit for bit.
+    """
     if not trajectories:
         raise ValueError("cannot summarize an empty trajectory list")
-    stages = len(trajectories[0].records)
-    if any(len(t.records) != stages for t in trajectories):
-        raise ValueError("trajectories must all have the same number of stages")
-    game = "npc" if trajectories[0].records[0].x is None else "ubeas"
+    shape = trajectories[0].outcomes.shape
+    if any(t.outcomes.shape != shape for t in trajectories):
+        raise ValueError("trajectories must all have the same number of stages and pairs")
+    stages = shape[0]
+    game = "npc" if trajectories[0].x is None else "ubeas"
 
-    dbm_sum = {b: 0.0 for b in BehaviorClass}
-    dbm_sq_sum = {b: 0.0 for b in BehaviorClass}
-    power_n = {b: 0 for b in BehaviorClass}
-    before_sum = {b: 0.0 for b in BehaviorClass}
-    before_n = {b: 0 for b in BehaviorClass}
-    after_sum = {b: 0.0 for b in BehaviorClass}
-    after_n = {b: 0 for b in BehaviorClass}
-    pdr_sum = {b: 0.0 for b in BehaviorClass}
-    pdr_n = {b: 0 for b in BehaviorClass}
-    stage_dbm = {b: np.zeros(stages) for b in BehaviorClass}
-    stage_power_n = {b: np.zeros(stages, dtype=int) for b in BehaviorClass}
-    stage_pdr = {b: np.zeros(stages) for b in BehaviorClass}
-    stage_pdr_n = {b: np.zeros(stages, dtype=int) for b in BehaviorClass}
-    stage_x = np.zeros(stages)
-    outages = 0
-    total_follower_stages = 0
-    convergence: list[int | None] = []
-    x_ok: list[bool] = []
+    table = np.stack([t.outcomes for t in trajectories])
+    dbm = _dbm(table["power"])
+    served = ~table["outage"]
+    pdr_served = np.where(served, table["pdr"], 0.0)   # + 0.0 leaves a sum unchanged
+    convergence = [t.convergence_stage for t in trajectories]
+    x_ok = [_x_profile_ok(t.x) if game == "ubeas" else False for t in trajectories]
+    conv = np.array([math.inf if c is None else c for c in convergence])[:, None, None]
+    stage_t = np.arange(1, stages + 1)[None, :, None]
+    before_mask = stage_t < conv
+    after_mask = stage_t >= conv
 
-    for traj in trajectories:
-        conv = traj.convergence_stage
-        convergence.append(conv)
-        x_ok.append(_x_profile_ok(traj.records) if game == "ubeas" else False)
-        for k, record in enumerate(traj.records):
-            if record.x is not None:
-                stage_x[k] += record.x
-            for f in record.followers:
-                b = f.behavior
-                dbm = watts_to_dbm(f.power)
-                dbm_sum[b] += dbm
-                dbm_sq_sum[b] += dbm * dbm
-                power_n[b] += 1
-                stage_dbm[b][k] += dbm
-                stage_power_n[b][k] += 1
-                total_follower_stages += 1
-                if f.outage:
-                    outages += 1
-                else:
-                    pdr_sum[b] += f.pdr
-                    pdr_n[b] += 1
-                    stage_pdr[b][k] += f.pdr
-                    stage_pdr_n[b][k] += 1
-                if conv is not None:
-                    if record.t < conv:
-                        before_sum[b] += dbm
-                        before_n[b] += 1
-                    else:
-                        after_sum[b] += dbm
-                        after_n[b] += 1
-
-    present = [b for b in BehaviorClass if power_n[b] > 0]
-    mean_power = {b: dbm_sum[b] / power_n[b] for b in present}
-    mean_pdr = {b: pdr_sum[b] / pdr_n[b] for b in present if pdr_n[b] > 0}
-    se_power = {}
-    for b in present:
-        n = power_n[b]
-        mean_db = dbm_sum[b] / n
-        var = max(dbm_sq_sum[b] / n - mean_db * mean_db, 0.0)
+    power_n, pdr_n = {}, {}
+    mean_power, mean_pdr, se_power, before, after = {}, {}, {}, {}, {}
+    stage_power_dbm, stage_pdr_mean = {}, {}
+    for b in BehaviorClass:
+        members = np.array([[behavior is b for behavior in t.behaviors] for t in trajectories])
+        in_class = np.broadcast_to(members[:, None, :], dbm.shape)
+        values = dbm[in_class]
+        power_n[b] = n = values.size
+        pdr_n[b] = np.count_nonzero(served[in_class])
+        if not n:
+            continue
+        mean_power[b] = mean_db = _total(values) / n
+        var = max(_total(values * values) / n - mean_db * mean_db, 0.0)
         se_power[b] = math.sqrt(var / n)
-    has_partition = game == "ubeas" and any(c is not None for c in convergence)
-    before = (
-        {b: before_sum[b] / before_n[b] for b in present if before_n[b] > 0}
-        if has_partition else None
-    )
-    after = (
-        {b: after_sum[b] / after_n[b] for b in present if after_n[b] > 0}
-        if has_partition else None
-    )
-    n_rep = len(trajectories)
-    mean_x = stage_x / n_rep if game == "ubeas" else None
-    stage_power_dbm = {}
-    stage_pdr_mean = {}
-    for b in present:
-        stage_power_dbm[b] = stage_dbm[b] / np.maximum(stage_power_n[b], 1)
+        if pdr_n[b]:
+            mean_pdr[b] = _total(table["pdr"][in_class & served]) / pdr_n[b]
+        for mask, means in ((before_mask, before), (after_mask, after)):
+            part = dbm[in_class & mask]
+            if part.size:
+                means[b] = _total(part) / part.size
+        stage_power_dbm[b] = _stage_totals(dbm, members) / np.count_nonzero(members)
+        stage_pdr_n = np.count_nonzero(served.transpose(1, 0, 2)[:, members], axis=1)
         stage_pdr_mean[b] = np.where(
-            stage_pdr_n[b] > 0, stage_pdr[b] / np.maximum(stage_pdr_n[b], 1), np.nan
-        )
+            stage_pdr_n > 0, _stage_totals(pdr_served, members) / np.maximum(stage_pdr_n, 1),
+            np.nan)
+    has_partition = game == "ubeas" and any(c is not None for c in convergence)
+    n_rep = len(trajectories)
+    mean_x = None
+    if game == "ubeas":
+        mean_x = np.add.accumulate(np.stack([t.x for t in trajectories]), axis=0)[-1] / n_rep
     return ExperimentSummary(
         game=game,
         repetitions=n_rep,
         stages=stages,
         mean_power_dbm=mean_power,
-        mean_power_dbm_before=before,
-        mean_power_dbm_after=after,
+        mean_power_dbm_before=before if has_partition else None,
+        mean_power_dbm_after=after if has_partition else None,
         mean_pdr=mean_pdr,
         se_power_db=se_power,
-        count_power=dict(power_n),
-        count_pdr=dict(pdr_n),
+        count_power=power_n,
+        count_pdr=pdr_n,
         stage_mean_x=mean_x,
         stage_class_power_dbm=stage_power_dbm,
         stage_class_pdr=stage_pdr_mean,
         convergence_stages=tuple(convergence),
         x_profile_ok=tuple(x_ok),
-        outage_rate=outages / total_follower_stages if total_follower_stages else 0.0,
+        outage_rate=np.count_nonzero(~served) / served.size if served.size else 0.0,
     )
 
 
@@ -247,26 +231,29 @@ def check_epsilon_nash(record: StageRecord, gains: np.ndarray, cfg: GameConfig,
     """
     powers = record.powers
     deviation_gains = []
-    for i, state in enumerate(record.followers):
+    for i, behavior in enumerate(record.behaviors):
         interference = float(
             powers @ gains[:, i] - powers[i] * gains[i, i] + cfg.noise_power
         )
         own = float(gains[i, i])
-        target = class_target_sinr(state.behavior, cfg)
+        target = class_target_sinr(behavior, cfg)
         p_req = required_power(target, own, interference)
         if p_req > cfg.p_max:
             lo = hi = cfg.p_max
         else:
             lo, hi = max(cfg.p_min, p_req), cfg.p_max
 
-        behavior, x = state.behavior, record.x
-        current = payoff(behavior, x, float(powers[i]), own, interference, target, cfg)
+        # The recorded power goes through the grid's own payoff: math.exp and
+        # np.exp differ in the last bit, which at a deep fade's -1e244 is a
+        # false gain of 1e228.  Equal payoffs, -inf included, gain nothing.
         grid = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
-        best = float(_payoff_on_grid(behavior, x, grid, own, interference, target, cfg).max())
-        deviation_gains.append(best - current)
+        current = float(_payoff_on_grid(behavior, record.x, powers[i:i + 1], own, interference,
+                                        target, cfg)[0])
+        best = float(_payoff_on_grid(behavior, record.x, grid, own, interference, target, cfg).max())
+        deviation_gains.append(0.0 if best == current else best - current)
 
     worst = int(np.argmax(deviation_gains)) if deviation_gains else None
-    worst_gain = max(deviation_gains) if deviation_gains else 0.0
+    worst_gain = deviation_gains[worst] if deviation_gains else 0.0
 
     leader_ok = True
     if record.x is not None:
@@ -306,16 +293,15 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20,
     cfg = trajectory.config
     conv = trajectory.convergence_stage
     deltas = _class_power_deltas(trajectory)
-    if conv is None or not _x_profile_ok(trajectory.records):
+    if conv is None or not _x_profile_ok(trajectory.x):
         return ParetoReport(False, conv, False, deltas, 0)
 
     gains = trajectory.final_gains
-    final = trajectory.records[-1]
-    powers = final.powers.copy()
+    powers = trajectory.outcomes.power[-1].copy()
     m = len(powers)
-    targets = [class_target_sinr(f.behavior, cfg) for f in final.followers]
-    behaviors = [f.behavior for f in final.followers]
-    x = final.x
+    behaviors = trajectory.behaviors
+    targets = [class_target_sinr(b, cfg) for b in behaviors]
+    x = float(trajectory.x[-1])
 
     replay_stages = 0
     for _ in range(window):
@@ -360,16 +346,13 @@ def _class_power_deltas(trajectory: Trajectory) -> dict[BehaviorClass, float]:
     conv = trajectory.convergence_stage
     if conv is None:
         return {}
-    pre = {b: [] for b in BehaviorClass}
-    post = {b: [] for b in BehaviorClass}
-    for record in trajectory.records:
-        bucket = post if record.t >= conv else pre
-        for f in record.followers:
-            bucket[f.behavior].append(watts_to_dbm(f.power))
+    dbm = _dbm(trajectory.outcomes.power)
     deltas = {}
     for b in BehaviorClass:
-        if pre[b] and post[b]:
-            deltas[b] = float(np.mean(post[b])) - float(np.mean(pre[b]))
+        members = np.array([behavior is b for behavior in trajectory.behaviors])
+        pre, post = dbm[:conv - 1, members], dbm[conv - 1:, members]
+        if pre.size and post.size:
+            deltas[b] = float(np.mean(post.ravel())) - float(np.mean(pre.ravel()))
     return deltas
 
 
@@ -390,7 +373,15 @@ def _fmt(value) -> str:
     return repr(value)
 
 
+def _cells(values: np.ndarray) -> list[str]:
+    """_fmt of every float of an array, in C order."""
+    return ["" if v != v else repr(v) for v in values.ravel().tolist()]
+
+
 TRAJECTORY_HEADER = "rep,t,pair,class,x,p_dbm,sinr,pdr,utility,price,outage"
+# Rows of trajectory.csv formatted per write, in whole stages: whole
+# repetitions at once cost more peak memory in row strings.
+WRITE_ROWS = 1536
 
 
 def emit_outputs(summary: ExperimentSummary, trajectories: list[Trajectory],
@@ -409,13 +400,18 @@ def emit_outputs(summary: ExperimentSummary, trajectories: list[Trajectory],
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
         for rep, traj in enumerate(trajectories):
-            for record in traj.records:
-                for f in record.followers:
-                    fh.write(",".join([
-                        str(rep), str(record.t), str(f.index), f.behavior.label,
-                        _fmt(record.x), _fmt(watts_to_dbm(f.power)), _fmt(f.sinr),
-                        _fmt(f.pdr), _fmt(f.utility), _fmt(f.price), _fmt(f.outage),
-                    ]) + "\n")
+            pairs = [f"{i},{b.label}," for i, b in enumerate(traj.behaviors)]
+            xs = [""] * len(traj.outcomes) if traj.x is None else _cells(traj.x)
+            step = max(1, WRITE_ROWS // len(pairs))
+            for start in range(0, len(traj.outcomes), step):
+                block = traj.outcomes[start:start + step]
+                heads = [f"{rep},{t},{pair}{x}"
+                         for t, x in enumerate(xs[start:start + len(block)], start + 1)
+                         for pair in pairs]
+                outage = ["1" if o else "0" for o in block["outage"].ravel().tolist()]
+                columns = [_cells(_dbm(block["power"]))] + [
+                    _cells(block[name]) for name in ("sinr", "pdr", "utility", "price")]
+                fh.write("\n".join(map(",".join, zip(heads, *columns, outage))) + "\n")
     written.append(path)
 
     path = out / "summary.csv"

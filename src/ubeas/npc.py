@@ -27,7 +27,7 @@ from .game import (
     play_stage,
 )
 # Not called here: bench/tracing.py looks these names up in this module as well
-# as in game, whose stage engine calls them.
+# as in game, whose stage engine calls all of them but class_means.
 from .channel import gain_matrix, generate_topology  # noqa: F401
 from .game import class_means, maximize_concave, measure_followers  # noqa: F401
 

@@ -359,8 +359,7 @@ def test_single_pair_settles_at_required_power():
     own = float(traj.final_gains[0, 0])
     target = class_target_sinr(BehaviorClass.CASUAL, cfg)
     expected = max(cfg.p_min, target * cfg.noise_power / own)
-    for record in traj.records:
-        assert record.followers[0].power == expected
+    assert (traj.outcomes.power[:, 0] == expected).all()
 
 
 def test_first_stage_keeps_initial_satisfaction():
@@ -372,7 +371,8 @@ def test_run_stage_deterministic():
     cfg = GameConfig(num_pairs=6, stages=4)
     t1 = run_game(cfg)
     t2 = run_game(cfg)
-    assert t1.records == t2.records
+    assert np.array_equal(t1.outcomes, t2.outcomes)
+    assert np.array_equal(t1.x, t2.x)
 
 
 def test_run_game_zero_stages():
@@ -383,7 +383,7 @@ def test_run_game_zero_stages():
 
 def test_satisfaction_rises_to_one_and_stays():
     traj = run_game(GameConfig(num_pairs=6))
-    xs = [r.x for r in traj.records]
+    xs = traj.x.tolist()
     low = int(np.argmin(xs))
     tail = xs[low:]
     assert all(b >= a for a, b in zip(tail, tail[1:]))
@@ -394,7 +394,7 @@ def test_satisfaction_rises_to_one_and_stays():
 
 def test_frozen_channel_powers_reach_fixed_point():
     traj = run_game(GameConfig(num_pairs=6, doppler=0.0))
-    powers = np.array([[f.power for f in r.followers] for r in traj.records])
+    powers = traj.outcomes.power
     drift = np.abs(np.diff(powers[-10:], axis=0))
     assert drift.max() < 1e-6
 
@@ -427,7 +427,7 @@ def test_run_stage_protocol_ordering():
     for i, agent in enumerate(agents):
         expected_p, _ = follower_best_response(
             agent.behavior, record.x, float(gains[i, i]), float(interference[i]), cfg)
-        assert record.followers[i].power == expected_p
+        assert record.outcomes.power[i] == expected_p
 
 
 def test_maximize_concave_golden_fallback_on_nonconcave_input():
@@ -445,12 +445,18 @@ def test_maximize_concave_golden_fallback_on_nonconcave_input():
 
 
 def test_stage_class_means_recompute_from_members():
+    from ubeas.game import class_means
+
     traj = run_game(GameConfig(num_pairs=6, stages=5))
     for record in traj.records:
-        for behavior, dbm in record.class_power_dbm.items():
-            members = [f.power for f in record.followers if f.behavior is behavior]
+        class_power_dbm, class_pdr = class_means(record)
+        assert set(class_power_dbm) == set(class_pdr) == set(BehaviorClass)
+        for behavior, dbm in class_power_dbm.items():
+            members = [row.power for row, b in zip(record.outcomes, record.behaviors)
+                       if b is behavior]
             expected = 10.0 * math.log10(sum(members) / len(members) * 1e3)
             assert abs(dbm - expected) < 1e-12
-        for behavior, pdr in record.class_pdr.items():
-            members = [f.pdr for f in record.followers if f.behavior is behavior]
+        for behavior, pdr in class_pdr.items():
+            members = [row.pdr for row, b in zip(record.outcomes, record.behaviors)
+                       if b is behavior]
             assert abs(pdr - sum(members) / len(members)) < 1e-12

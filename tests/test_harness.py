@@ -1,12 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from ubeas.config import BehaviorClass, ConfigError, GameConfig, watts_to_dbm
 from ubeas.game import (
-    FollowerState,
-    StageRecord,
+    RECORD_DTYPE,
     Trajectory,
     class_target_sinr,
     leader_utility,
@@ -16,6 +16,8 @@ from ubeas.game import (
 )
 from ubeas.harness import (
     TRAJECTORY_HEADER,
+    WRITE_ROWS,
+    _fmt,
     check_epsilon_nash,
     check_pareto_convergence,
     emit_outputs,
@@ -27,33 +29,23 @@ from ubeas.npc import run_npc_game
 SMALL = GameConfig(num_pairs=6, stages=20, repetitions=3)
 
 
-def make_record(t, x, specs):
-    """specs: list of (behavior, power, pdr, outage)."""
-    followers = tuple(
-        FollowerState(i, b, p, 1.0, pdr, 0.0, 0.0, out)
-        for i, (b, p, pdr, out) in enumerate(specs)
-    )
-    power_dbm = {}
-    mean_pdr = {}
-    for b in BehaviorClass:
-        members = [f for f in followers if f.behavior is b]
-        if members:
-            power_dbm[b] = watts_to_dbm(sum(f.power for f in members) / len(members))
-            mean_pdr[b] = sum(f.pdr for f in members) / len(members)
-    return StageRecord(t, x, followers, power_dbm, mean_pdr)
-
-
-def make_trajectory(records, cfg=SMALL):
-    return Trajectory(tuple(records), None, np.empty((0, 0)), cfg)
+def make_trajectory(xs, behaviors, rows, cfg=SMALL):
+    """rows[t][i] = (power, pdr, outage) of pair i at stage t + 1; sinr 1, utility and price 0."""
+    outcomes = np.recarray((len(rows), len(behaviors)), RECORD_DTYPE)
+    outcomes.sinr, outcomes.utility, outcomes.price = 1.0, 0.0, 0.0
+    for name, k in (("power", 0), ("pdr", 1), ("outage", 2)):
+        outcomes[name] = [[cell[k] for cell in row] for row in rows]
+    x = None if xs is None else np.array(xs, dtype=float)
+    return Trajectory(outcomes, x, tuple(behaviors), None, np.empty((0, 0)), cfg)
 
 
 def test_summarize_hand_built_two_stage_trajectory():
     b = BehaviorClass.CASUAL
-    records = [
-        make_record(1, 0.5, [(b, 0.001, 0.90, False), (b, 0.01, 0.95, False)]),
-        make_record(2, 1.0, [(b, 0.002, 0.92, False), (b, 0.02, 0.96, True)]),
-    ]
-    summary = summarize([make_trajectory(records)])
+    traj = make_trajectory([0.5, 1.0], [b, b], [
+        [(0.001, 0.90, False), (0.01, 0.95, False)],
+        [(0.002, 0.92, False), (0.02, 0.96, True)],
+    ])
+    summary = summarize([traj])
     dbms = [watts_to_dbm(p) for p in (0.001, 0.01, 0.002, 0.02)]
     assert abs(summary.mean_power_dbm[b] - np.mean(dbms)) < 1e-12
     # outage pair-stage is excluded from the PDR mean but counted in the rate
@@ -92,9 +84,9 @@ def test_summarize_partitions_every_stage_once():
     summary = summarize(trajectories)
     for traj, conv in zip(trajectories, summary.convergence_stages):
         assert conv is not None
-        n_before = sum(len(r.followers) for r in traj.records if r.t < conv)
-        n_after = sum(len(r.followers) for r in traj.records if r.t >= conv)
-        assert n_before + n_after == sum(len(r.followers) for r in traj.records)
+        n_before = traj.outcomes[:conv - 1].size
+        n_after = traj.outcomes[conv - 1:].size
+        assert n_before + n_after == traj.outcomes.size
 
 
 def test_summarize_rejects_bad_input():
@@ -191,13 +183,9 @@ def test_check_epsilon_nash_names_perturbed_follower():
     traj = run_game(cfg)
     record = traj.records[-1]
     victim = 0
-    bumped = []
-    for f in record.followers:
-        if f.index == victim:
-            bumped.append(dataclasses.replace(f, power=min(f.power * 2.0, cfg.p_max)))
-        else:
-            bumped.append(f)
-    perturbed = dataclasses.replace(record, followers=tuple(bumped))
+    bumped = record.outcomes.copy()
+    bumped.power[victim] = min(bumped.power[victim] * 2.0, cfg.p_max)
+    perturbed = dataclasses.replace(record, outcomes=bumped)
     report = check_epsilon_nash(perturbed, traj.final_gains, cfg,
                                 epsilon=1e-6, grid_points=4000)
     assert not report.passed
@@ -212,19 +200,19 @@ def scalar_nash_oracle(record, gains, cfg, epsilon, grid_points):
     """
     powers = record.powers
     deviation_gains = []
-    for i, state in enumerate(record.followers):
+    for i, behavior in enumerate(record.behaviors):
         interference = float(powers @ gains[:, i] - powers[i] * gains[i, i] + cfg.noise_power)
         own = float(gains[i, i])
-        target = class_target_sinr(state.behavior, cfg)
+        target = class_target_sinr(behavior, cfg)
         p_req = required_power(target, own, interference)
         if p_req > cfg.p_max:
             lo = hi = cfg.p_max
         else:
             lo, hi = max(cfg.p_min, p_req), cfg.p_max
-        current = payoff(state.behavior, record.x, float(powers[i]), own, interference,
+        current = payoff(behavior, record.x, float(powers[i]), own, interference,
                          target, cfg)
         grid = np.linspace(lo, hi, grid_points).tolist() if hi > lo else [lo]
-        best = max(payoff(state.behavior, record.x, p, own, interference, target, cfg)
+        best = max(payoff(behavior, record.x, p, own, interference, target, cfg)
                    for p in grid)
         deviation_gains.append(best - current)
     leader_ok = True
@@ -246,9 +234,9 @@ def test_check_epsilon_nash_matches_scalar_oracle(game, perturbation):
     traj = (run_game if game == "ubeas" else run_npc_game)(cfg)
     record = traj.records[-1]
     if perturbation == "powers":
-        record = dataclasses.replace(record, followers=tuple(
-            dataclasses.replace(f, power=min(f.power * 1.03, cfg.p_max))
-            for f in record.followers))
+        bumped = record.outcomes.copy()
+        bumped.power = np.minimum(bumped.power * 1.03, cfg.p_max)
+        record = dataclasses.replace(record, outcomes=bumped)
     elif perturbation == "x":
         record = dataclasses.replace(record, x=0.5)
     passed, worst, oracle_gains, leader_ok = scalar_nash_oracle(
@@ -287,13 +275,11 @@ def test_check_pareto_minimality_catches_planted_violation():
     cfg = GameConfig(num_pairs=6, doppler=0.0, stages=200)
     traj = run_game(cfg)
     assert check_pareto_convergence(traj, window=0).minimality_ok
-    final = traj.records[-1]
-    victim = next(f for f in final.followers if f.behavior is BehaviorClass.INTERMEDIATE)
-    assert 2.0 * victim.power <= cfg.p_max
-    bumped = tuple(dataclasses.replace(f, power=2.0 * f.power) if f is victim else f
-                   for f in final.followers)
-    forced = dataclasses.replace(
-        traj, records=traj.records[:-1] + (dataclasses.replace(final, followers=bumped),))
+    victim = traj.behaviors.index(BehaviorClass.INTERMEDIATE)
+    bumped = traj.outcomes.copy()
+    assert 2.0 * bumped.power[-1, victim] <= cfg.p_max
+    bumped.power[-1, victim] *= 2.0
+    forced = dataclasses.replace(traj, outcomes=bumped)
     report = check_pareto_convergence(forced, window=0)
     assert report.converged
     assert not report.minimality_ok
@@ -301,10 +287,7 @@ def test_check_pareto_minimality_catches_planted_violation():
 
 def test_check_pareto_reports_unconverged_trajectory():
     traj = run_game(GameConfig(num_pairs=6))
-    capped = [
-        dataclasses.replace(r, x=min(r.x, 0.5)) for r in traj.records
-    ]
-    forced = dataclasses.replace(traj, records=tuple(capped))
+    forced = dataclasses.replace(traj, x=np.minimum(traj.x, 0.5))
     report = check_pareto_convergence(forced)
     assert not report.converged
 
@@ -319,3 +302,202 @@ def test_failed_repetition_is_named():
     cfg = dataclasses.replace(SMALL, num_pairs=4)
     with pytest.raises(ConfigError, match="repetition 0"):
         run_experiment(cfg, "ubeas")
+
+
+def test_check_epsilon_nash_outage_follower_gains_nothing():
+    # Frozen channel at seed 1109: followers in outage at p_max in a deep fade,
+    # where the serious payoff is about -2e244 or -inf.  A scalar current payoff
+    # against the array grid read a last-bit difference as a gain of 3e228,
+    # and -inf - -inf as NaN.
+    cfg = GameConfig(doppler=0.0, seed=1109, repetitions=1, stages=600)
+    traj = run_game(cfg)
+    report = check_epsilon_nash(traj.records[-1], traj.final_gains, cfg,
+                                epsilon=1e-6, grid_points=10_000)
+    assert traj.outcomes.outage[-1].any()
+    assert report.passed
+    assert all(math.isfinite(g) for g in report.follower_gains)
+    assert report.follower_gains[report.worst_follower] == report.worst_gain
+
+
+def test_check_epsilon_nash_fails_a_minus_inf_payoff_with_a_finite_deviation():
+    cfg = dataclasses.replace(GameConfig(num_pairs=6), doppler=0.0)
+    traj = run_game(cfg)
+    record = traj.records[-1]
+    victim = record.behaviors.index(BehaviorClass.SERIOUS)
+    starved = record.outcomes.copy()
+    starved.power[victim] = 1e-30   # deep below the feasible set: payoff -inf
+    report = check_epsilon_nash(dataclasses.replace(record, outcomes=starved),
+                                traj.final_gains, cfg, epsilon=1e-6, grid_points=4000)
+    assert not report.passed
+    assert report.worst_follower == victim
+    assert report.worst_gain == math.inf
+
+
+# ---------------------------------------------------------------------------
+# Array aggregation and CSV writing against their per-sample loops.
+# ---------------------------------------------------------------------------
+
+def scalar_summarize(trajectories):
+    """summarize as the per-sample loop over (rep, t, pair), one Python float at a time."""
+    stages = len(trajectories[0].outcomes)
+    game = "npc" if trajectories[0].x is None else "ubeas"
+    classes = list(BehaviorClass)
+    dbm_sum = {b: 0.0 for b in classes}
+    dbm_sq_sum = {b: 0.0 for b in classes}
+    power_n = {b: 0 for b in classes}
+    before_sum = {b: 0.0 for b in classes}
+    before_n = {b: 0 for b in classes}
+    after_sum = {b: 0.0 for b in classes}
+    after_n = {b: 0 for b in classes}
+    pdr_sum = {b: 0.0 for b in classes}
+    pdr_n = {b: 0 for b in classes}
+    stage_dbm = {b: np.zeros(stages) for b in classes}
+    stage_power_n = {b: np.zeros(stages, dtype=int) for b in classes}
+    stage_pdr = {b: np.zeros(stages) for b in classes}
+    stage_pdr_n = {b: np.zeros(stages, dtype=int) for b in classes}
+    stage_x = np.zeros(stages)
+    outages = 0
+    total = 0
+    convergence = []
+    for traj in trajectories:
+        conv = traj.convergence_stage
+        convergence.append(conv)
+        for k, record in enumerate(traj.records):
+            if record.x is not None:
+                stage_x[k] += record.x
+            for b, power, pdr, outage in zip(record.behaviors, record.outcomes.power.tolist(),
+                                             record.outcomes.pdr.tolist(),
+                                             record.outcomes.outage.tolist()):
+                dbm = watts_to_dbm(power)
+                dbm_sum[b] += dbm
+                dbm_sq_sum[b] += dbm * dbm
+                power_n[b] += 1
+                stage_dbm[b][k] += dbm
+                stage_power_n[b][k] += 1
+                total += 1
+                if outage:
+                    outages += 1
+                else:
+                    pdr_sum[b] += pdr
+                    pdr_n[b] += 1
+                    stage_pdr[b][k] += pdr
+                    stage_pdr_n[b][k] += 1
+                if conv is not None:
+                    if record.t < conv:
+                        before_sum[b] += dbm
+                        before_n[b] += 1
+                    else:
+                        after_sum[b] += dbm
+                        after_n[b] += 1
+    present = [b for b in classes if power_n[b] > 0]
+    se_power = {}
+    for b in present:
+        n = power_n[b]
+        mean_db = dbm_sum[b] / n
+        se_power[b] = math.sqrt(max(dbm_sq_sum[b] / n - mean_db * mean_db, 0.0) / n)
+    partition = game == "ubeas" and any(c is not None for c in convergence)
+    return dict(
+        mean_power_dbm={b: dbm_sum[b] / power_n[b] for b in present},
+        mean_power_dbm_before=({b: before_sum[b] / before_n[b] for b in present if before_n[b]}
+                               if partition else None),
+        mean_power_dbm_after=({b: after_sum[b] / after_n[b] for b in present if after_n[b]}
+                              if partition else None),
+        mean_pdr={b: pdr_sum[b] / pdr_n[b] for b in present if pdr_n[b]},
+        se_power_db=se_power,
+        count_power=power_n,
+        count_pdr=pdr_n,
+        stage_mean_x=stage_x / len(trajectories) if game == "ubeas" else None,
+        stage_class_power_dbm={b: stage_dbm[b] / np.maximum(stage_power_n[b], 1)
+                               for b in present},
+        stage_class_pdr={b: np.where(stage_pdr_n[b] > 0,
+                                     stage_pdr[b] / np.maximum(stage_pdr_n[b], 1), np.nan)
+                         for b in present},
+        convergence_stages=tuple(convergence),
+        outage_rate=outages / total,
+    )
+
+
+def run_trajectories(game, **fields):
+    cfg = dataclasses.replace(SMALL, **fields)
+    return run_experiment(cfg, game)[1]
+
+
+def unconverged(trajectories):
+    return [dataclasses.replace(t, x=np.minimum(t.x, 0.5)) for t in trajectories]
+
+
+@pytest.mark.parametrize("game,fields,transform", [
+    ("ubeas", {}, None),
+    ("npc", {}, None),
+    ("ubeas", {"priority_mode": True}, None),
+    ("npc", {"priority_mode": True}, None),
+    ("ubeas", {"noise_power": 1e-3}, None),   # every pair-stage in outage: no PDR at all
+    ("npc", {"noise_power": 1e-9}, None),     # some stages of a class with no served pair
+    ("ubeas", {}, unconverged),
+])
+def test_summarize_matches_scalar_loop_bit_for_bit(game, fields, transform):
+    # 16 samples per class and stage: np.sum would add them pairwise
+    trajectories = run_trajectories(game, num_pairs=12, repetitions=4, **fields)
+    if transform is not None:
+        trajectories = transform(trajectories)
+    summary = summarize(trajectories)
+    oracle = scalar_summarize(trajectories)
+    for name, want in oracle.items():
+        got = getattr(summary, name)
+        if isinstance(want, dict):
+            assert list(got) == list(want), name
+            for b in want:
+                if isinstance(want[b], np.ndarray):
+                    assert np.array_equal(got[b], want[b], equal_nan=True), (name, b)
+                else:
+                    assert got[b] == want[b], (name, b)
+        elif isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
+    if fields.get("noise_power") == 1e-3:
+        assert summary.mean_pdr == {} and summary.outage_rate == 1.0
+
+
+def scalar_trajectory_csv(trajectories):
+    """trajectory.csv as the row-by-row writer, one _fmt per field."""
+    lines = [TRAJECTORY_HEADER]
+    for rep, traj in enumerate(trajectories):
+        for record in traj.records:
+            for i, row in enumerate(record.outcomes):
+                lines.append(",".join([
+                    str(rep), str(record.t), str(i), record.behaviors[i].label,
+                    _fmt(record.x), _fmt(watts_to_dbm(row.power)), _fmt(row.sinr),
+                    _fmt(row.pdr), _fmt(row.utility), _fmt(row.price), _fmt(row.outage),
+                ]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("game", ["ubeas", "npc"])
+def test_trajectory_csv_equals_row_by_row_writer(game, tmp_path):
+    trajectories = run_trajectories(game, num_pairs=24, stages=150, repetitions=2)
+    assert 2 * (WRITE_ROWS // 24) < 150 < 3 * (WRITE_ROWS // 24)   # three write blocks
+    emit_outputs(summarize(trajectories), trajectories, tmp_path)
+    assert (tmp_path / "trajectory.csv").read_bytes() == scalar_trajectory_csv(trajectories)
+
+
+def test_emit_outputs_hand_built_edge_cases(tmp_path):
+    casual, serious = BehaviorClass.CASUAL, BehaviorClass.SERIOUS
+    traj = make_trajectory(None, [casual, serious], [
+        [(0.001, 0.9, False), (0.2, 0.0, True)],
+        [(0.002, 0.5, False), (0.2, 0.0, True)],
+    ])
+    traj.outcomes.utility[:, 1] = -math.inf
+    traj.outcomes.price[0, 0] = math.nan
+    emit_outputs(summarize([traj]), [traj], tmp_path)
+    assert (tmp_path / "trajectory.csv").read_text().splitlines() == [
+        TRAJECTORY_HEADER,
+        "0,1,0,casual,,0.0,1.0,0.9,0.0,,0",
+        f"0,1,1,serious,,{watts_to_dbm(0.2)!r},1.0,0.0,-inf,0.0,1",
+        f"0,2,0,casual,,{watts_to_dbm(0.002)!r},1.0,0.5,0.0,0.0,0",
+        f"0,2,1,serious,,{watts_to_dbm(0.2)!r},1.0,0.0,-inf,0.0,1",
+    ]
+    # the serious class is never served: its stage PDR is NaN, an empty cell
+    assert (tmp_path / "class_pdr.csv").read_text().splitlines() == [
+        "t,casual,intermediate,serious", "1,0.9,,", "2,0.5,,"]
+    assert (tmp_path / "satisfaction.csv").read_text().splitlines() == ["t,mean_x", "1,", "2,"]

@@ -94,27 +94,27 @@ def test_paired_runs_share_topology_and_fading():
 
 def test_npc_records_have_no_leader():
     traj = run_npc_game(GameConfig(num_pairs=3, stages=4))
-    for record in traj.records:
-        assert record.x is None
-        assert all(f.price == 0.0 for f in record.followers)
+    assert traj.x is None
+    assert all(record.x is None for record in traj.records)
+    assert (traj.outcomes.price == 0.0).all()
 
 
 def test_iterated_npc_reaches_fixed_point_on_frozen_channel():
     cfg = dataclasses.replace(
         GameConfig(num_pairs=6), doppler=0.0, npc_rerandomize=False)
     traj = run_npc_game(cfg)
-    powers = np.array([[f.power for f in r.followers] for r in traj.records])
+    powers = traj.outcomes.power
     assert np.abs(np.diff(powers[-10:], axis=0)).max() < 1e-6
 
 
 def test_rerandomized_npc_keeps_responding_to_fresh_draws():
     cfg = dataclasses.replace(GameConfig(num_pairs=6), doppler=0.0)
     traj = run_npc_game(cfg)
-    powers = np.array([[f.power for f in r.followers] for r in traj.records])
+    powers = traj.outcomes.power
     # planning interference is redrawn each stage, so chosen powers keep moving
     assert np.abs(np.diff(powers[-10:], axis=0)).max() > 1e-6
 
 
 def test_npc_deterministic():
     cfg = GameConfig(num_pairs=6, stages=6)
-    assert run_npc_game(cfg).records == run_npc_game(cfg).records
+    assert np.array_equal(run_npc_game(cfg).outcomes, run_npc_game(cfg).outcomes)
