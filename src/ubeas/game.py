@@ -211,23 +211,52 @@ def _payoff_on_grid(behavior: BehaviorClass, x: float | None, p: np.ndarray, own
 def payoff_gradient(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
                     interference: float, target: float, cfg: GameConfig) -> float:
     """d(payoff)/dp, using d(gamma)/dp = gamma / p; the price adds -dD/dp unless x is None."""
-    gamma = p * own_gain / interference
+    log_qx = None if x is None else _log_qx(x, cfg)
+    return _gradient_fn(behavior, target, x, own_gain, interference, cfg, log_qx)(p)
+
+
+def _gradient_fn(behavior: BehaviorClass, target: float, x: float | None, own_gain: float,
+                 interference: float, cfg: GameConfig,
+                 log_qx: float | None) -> Callable[[float], float]:
+    """payoff_gradient of one pair as a function of p; log_qx is _log_qx(x, cfg).
+
+    The constants are folded only where they open a left-associative chain,
+    so every value keeps the bits of the unfolded expression.
+    """
     if behavior is BehaviorClass.CASUAL:
-        slope = 0.0
+        def slope(p: float) -> float:
+            return 0.0
     elif behavior is BehaviorClass.INTERMEDIATE:
-        slope = -cfg.s + 2.0 * cfg.c * gamma * (target - gamma) / p
+        neg_s, two_c = -cfg.s, 2.0 * cfg.c
+
+        def slope(p: float) -> float:
+            gamma = p * own_gain / interference
+            return neg_s + two_c * gamma * (target - gamma) / p
     else:
         mod = cfg.modulation_params
-        gamma_b = gamma ** mod.b
-        exponent = -cfg.v * mod.a * gamma_b
-        if exponent > 700.0:
-            slope = math.inf
-        else:
-            slope = (-cfg.w * p ** (cfg.w - 1.0)
-                     + cfg.h_i * cfg.v * mod.a * mod.b * gamma_b * math.exp(exponent) / p)
+        b, neg_va = mod.b, -cfg.v * mod.a
+        neg_w, w_1 = -cfg.w, cfg.w - 1.0
+        hvab = cfg.h_i * cfg.v * mod.a * mod.b
+
+        def slope(p: float) -> float:
+            gamma_b = (p * own_gain / interference) ** b
+            exponent = neg_va * gamma_b
+            if exponent > 700.0:
+                return math.inf
+            return neg_w * p ** w_1 + hvab * gamma_b * math.exp(exponent) / p
     if x is None:
         return slope
-    return slope - price_gradient_power(x, p, cfg)
+    y, z, delta = cfg.y, cfg.z, cfg.delta
+
+    def gradient(p: float) -> float:
+        value = slope(p)
+        yz = y - p / z
+        if yz <= 1.0:
+            raise ValueError(f"price undefined: y - p/z = {yz} must exceed 1")
+        log_yz = math.log(yz)
+        return value - delta / (z * yz * log_qx * log_yz * log_yz)
+
+    return gradient
 
 
 def follower_utility(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
@@ -328,15 +357,14 @@ def follower_best_response(behavior: BehaviorClass, x: float | None, own_gain: f
         raise ValueError(f"own-link gain must be positive, got {own_gain}")
     if interference <= 0.0:
         raise ValueError(f"interference plus noise must be positive, got {interference}")
-    if x is not None and not 0.0 < x <= 1.0:
-        raise ValueError(f"satisfaction must lie in (0, 1], got {x}")
+    log_qx = None if x is None else _log_qx(x, cfg)
     target = class_target_sinr(behavior, cfg)
-    return _best_response_with_target(behavior, target, x, own_gain, interference, cfg)
+    return _best_response_with_target(behavior, target, x, own_gain, interference, cfg, log_qx)
 
 
 def _best_response_with_target(behavior: BehaviorClass, target: float, x: float | None,
-                               own_gain: float, interference: float,
-                               cfg: GameConfig) -> tuple[float, bool]:
+                               own_gain: float, interference: float, cfg: GameConfig,
+                               log_qx: float | None) -> tuple[float, bool]:
     p_req = required_power(target, own_gain, interference)
     if p_req > cfg.p_max:
         return cfg.p_max, True
@@ -349,7 +377,7 @@ def _best_response_with_target(behavior: BehaviorClass, target: float, x: float 
         return lo, False
     power = maximize_concave(
         lambda p: payoff(behavior, x, p, own_gain, interference, target, cfg),
-        lambda p: payoff_gradient(behavior, x, p, own_gain, interference, target, cfg),
+        _gradient_fn(behavior, target, x, own_gain, interference, cfg, log_qx),
         lo, cfg.p_max, cfg.br_tolerance,
     )
     return power, False
@@ -369,11 +397,19 @@ class LeaderState:
 
 @dataclass(slots=True)
 class FollowerAgent:
-    """Per-pair persistent game state, in pair order: class, target SINR and power."""
+    """Per-pair persistent game state, in pair order: class, target SINR and power.
+
+    solved_for holds the (x, own gain, interference) of the pair's last best
+    response and answer its (power, outage); play_stage reuses the answer
+    while the inputs repeat bit for bit, as they do once a frozen channel
+    reaches its fixed point.  An agent list serves one config.
+    """
 
     behavior: BehaviorClass
     target_sinr: float
     power: float
+    solved_for: tuple | None = None
+    answer: tuple[float, bool] = (0.0, False)
 
 
 # One follower's measured outcome at one stage.  A repetition is a (T, M)
@@ -464,12 +500,16 @@ def play_stage(agents: list[FollowerAgent], x: float | None, reference_powers: n
     x is the leader's satisfaction, or None for the leaderless game.
     """
     interference = link.interference_all(reference_powers, gains, cfg.noise_power)
+    log_qx = None if x is None else _log_qx(x, cfg)
     outages = []
-    for i, agent in enumerate(agents):
-        power, outage = _best_response_with_target(
-            agent.behavior, agent.target_sinr, x, float(gains[i, i]),
-            float(interference[i]), cfg)
-        agent.power = power
+    for agent, own, interf in zip(agents, np.diagonal(gains).tolist(), interference.tolist()):
+        # The inputs are positive and finite, so == means the same bits.
+        inputs = (x, own, interf)
+        if inputs != agent.solved_for:
+            agent.solved_for = inputs
+            agent.answer = _best_response_with_target(
+                agent.behavior, agent.target_sinr, x, own, interf, cfg, log_qx)
+        agent.power, outage = agent.answer
         outages.append(outage)
     outcomes = measure_followers(agents, x, gains, outages, cfg)
     return StageRecord(t, x, tuple(agent.behavior for agent in agents), outcomes)

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import least_squares
+# Only fit_pdr_params needs scipy.optimize, which costs about half a second to
+# import, so it is imported there.  The bare package costs about 17 ms, and
+# the benchmark reads its version from sys.modules.
+import scipy  # noqa: F401
 
 
 class FitError(RuntimeError):
@@ -92,6 +95,8 @@ def fit_pdr_params(samples: Iterable[tuple[float, float]]) -> tuple[float, float
     ln(-ln pdr) = -b_c ln(gamma) - b_c ln(a_c), so noise-free model data is
     recovered essentially exactly.  Deterministic for fixed samples.
     """
+    from scipy.optimize import least_squares
+
     pts = [(float(g), float(p)) for g, p in samples]
     if len(pts) < 2:
         raise FitError(f"need at least 2 samples, got {len(pts)}")

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ubeas
 from ubeas.cli import main
 from ubeas.link import MODULATIONS
 
@@ -70,17 +74,38 @@ def test_verify_pareto_fails_before_convergence(tmp_path, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
-def test_fit_subcommand(tmp_path, capsys):
+def write_fit_samples(path):
     mod = MODULATIONS["16qam"]
     lines = ["sinr,pdr"]
     for g in [0.7 + 0.1 * k for k in range(24)]:
         lines.append(f"{g},{math.exp(-((1.0 / (g * mod.a_c)) ** mod.b_c))}")
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def test_fit_subcommand(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
-    samples.write_text("\n".join(lines), encoding="utf-8")
+    write_fit_samples(samples)
     assert main(["fit", "--samples", str(samples)]) == 0
     out = capsys.readouterr().out
     assert "a_c = 1.383" in out
     assert "b_c = 6.565" in out
+
+
+def test_import_leaves_scipy_optimize_to_fit(tmp_path):
+    # a fresh interpreter, since this one has imported scipy.optimize already
+    samples = tmp_path / "samples.csv"
+    write_fit_samples(samples)
+    code = ("import sys\n"
+            "from ubeas.cli import main\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            f"sys.exit(main(['fit', '--samples', {str(samples)!r}]))\n")
+    src = str(Path(ubeas.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "a_c = 1.383" in proc.stdout
+    assert "b_c = 6.565" in proc.stdout
 
 
 def test_fit_rejects_missing_file(capsys):

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ubeas import game, link, npc
 from ubeas.config import BehaviorClass, ClassProfile, ConfigError, GameConfig
 from ubeas.game import (
+    RECORD_DTYPE,
+    FollowerAgent,
+    StageRecord,
+    _best_response_with_target,
+    _gradient_fn,
+    _log_qx,
     _payoff_on_grid,
     class_target_sinr,
     follower_best_response,
@@ -27,6 +34,8 @@ from ubeas.game import (
     run_stage,
     satisfaction_price,
 )
+from ubeas.link import MODULATIONS
+from ubeas.npc import run_npc_game
 
 CFG = GameConfig()
 CLASSES = list(BehaviorClass)
@@ -249,6 +258,116 @@ def test_gradients_match_finite_differences():
             assert abs(analytic - numeric) <= 1e-6 * max(abs(numeric), 1e-9) + floor, behavior
 
 
+def unfolded_payoff_gradient(behavior, x, p, own_gain, interference, target, cfg):
+    """payoff_gradient as written before its constants were folded: the reference."""
+    gamma = p * own_gain / interference
+    if behavior is BehaviorClass.CASUAL:
+        slope = 0.0
+    elif behavior is BehaviorClass.INTERMEDIATE:
+        slope = -cfg.s + 2.0 * cfg.c * gamma * (target - gamma) / p
+    else:
+        mod = cfg.modulation_params
+        gamma_b = gamma ** mod.b
+        exponent = -cfg.v * mod.a * gamma_b
+        if exponent > 700.0:
+            slope = math.inf
+        else:
+            slope = (-cfg.w * p ** (cfg.w - 1.0)
+                     + cfg.h_i * cfg.v * mod.a * mod.b * gamma_b * math.exp(exponent) / p)
+    if x is None:
+        return slope
+    return slope - price_gradient_power(x, p, cfg)
+
+
+SOLVED_CLASSES = st.sampled_from([BehaviorClass.INTERMEDIATE, BehaviorClass.SERIOUS])
+SATISFACTIONS = st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True))
+# Utility constants beside the defaults, whose 1.0, 2.0 and 4.0 make many
+# regroupings of the folded products exact and so invisible to the comparison.
+CONSTANTS = st.one_of(st.just({}), st.fixed_dictionaries({
+    "s": st.floats(0.01, 1.0), "c": st.floats(0.1, 10.0), "w": st.floats(1.0, 3.0),
+    "v": st.floats(0.5, 8.0), "h_i": st.floats(0.1, 10.0)}))
+
+
+def solver_cfg(priority, modulation, constants):
+    return dataclasses.replace(CFG, priority_mode=priority, modulation=modulation, **constants)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    behavior=SOLVED_CLASSES,
+    x=SATISFACTIONS,
+    priority=st.booleans(),
+    modulation=st.sampled_from(sorted(MODULATIONS)),
+    constants=CONSTANTS,
+    p=st.floats(CFG.p_min, CFG.p_max),
+    # SINRs from a deep fade (serious exponent above 700) to far above target
+    gamma=st.floats(1e-3, 1e3),
+    interference=st.floats(1e-14, 1e-9),
+)
+def test_gradient_fn_equals_unfolded_gradient_bit_for_bit(behavior, x, priority, modulation,
+                                                          constants, p, gamma, interference):
+    cfg = solver_cfg(priority, modulation, constants)
+    target = class_target_sinr(behavior, cfg)
+    own = gamma * interference / p
+    expected = unfolded_payoff_gradient(behavior, x, p, own, interference, target, cfg)
+    log_qx = None if x is None else _log_qx(x, cfg)
+    assert _gradient_fn(behavior, target, x, own, interference, cfg, log_qx)(p).hex() \
+        == expected.hex()
+    assert payoff_gradient(behavior, x, p, own, interference, target, cfg).hex() == expected.hex()
+
+
+def test_gradient_fn_keeps_the_deep_fade_and_price_domain_guards():
+    behavior = BehaviorClass.SERIOUS
+    target = class_target_sinr(behavior, CFG)
+    interference = 1e-11
+    own = 1e-3 * interference / CFG.p_min   # SINR 1e-3: exponent far above 700
+    for x in (None, 0.5):
+        log_qx = None if x is None else _log_qx(x, CFG)
+        expected = unfolded_payoff_gradient(behavior, x, CFG.p_min, own, interference, target, CFG)
+        assert expected == math.inf
+        assert _gradient_fn(behavior, target, x, own, interference, CFG, log_qx)(CFG.p_min) \
+            == expected
+    # p / z too close to y: the power-side logarithm would flip sign
+    for behavior in CLASSES:
+        with pytest.raises(ValueError):
+            unfolded_payoff_gradient(behavior, 0.5, 0.7, 1e-9, 1e-12, target, CFG)
+        with pytest.raises(ValueError):
+            _gradient_fn(behavior, target, 0.5, 1e-9, 1e-12, CFG, _log_qx(0.5, CFG))(0.7)
+        with pytest.raises(ValueError):
+            payoff_gradient(behavior, 1.5, 0.1, 1e-9, 1e-12, target, CFG)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    behavior=SOLVED_CLASSES,
+    x=SATISFACTIONS,
+    priority=st.booleans(),
+    modulation=st.sampled_from(sorted(MODULATIONS)),
+    constants=CONSTANTS,
+    own_gain=st.floats(1e-12, 1e-6),
+    # required powers below p_min, inside [p_min, p_max], within br_tolerance
+    # of p_max and above p_max (outage)
+    p_req_wanted=st.one_of(st.floats(1e-5, 1.0),
+                           st.floats(CFG.p_max - CFG.br_tolerance, CFG.p_max)),
+)
+def test_best_response_equals_solver_on_unfolded_gradient(behavior, x, priority, modulation,
+                                                          constants, own_gain, p_req_wanted):
+    cfg = solver_cfg(priority, modulation, constants)
+    target = class_target_sinr(behavior, cfg)
+    interf = p_req_wanted * own_gain / target
+    p_req = required_power(target, own_gain, interf)
+    if p_req > cfg.p_max:
+        expected = (cfg.p_max, True)
+    else:
+        expected = (maximize_concave(
+            lambda p: payoff(behavior, x, p, own_gain, interf, target, cfg),
+            lambda p: unfolded_payoff_gradient(behavior, x, p, own_gain, interf, target, cfg),
+            max(cfg.p_min, p_req), cfg.p_max, cfg.br_tolerance), False)
+    log_qx = None if x is None else _log_qx(x, cfg)
+    assert _best_response_with_target(behavior, target, x, own_gain, interf, cfg,
+                                      log_qx) == expected
+
+
 def test_follower_utilities_concave_in_power():
     rng = np.random.default_rng(9)
     h = 1e-5
@@ -460,3 +579,81 @@ def test_stage_class_means_recompute_from_members():
             members = [row.pdr for row, b in zip(record.outcomes, record.behaviors)
                        if b is behavior]
             assert abs(pdr - sum(members) / len(members)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Per-pair reuse of the last best response.
+# ---------------------------------------------------------------------------
+
+def solve_every_pair(agents, x, reference_powers, gains, t, cfg):
+    """play_stage without the reuse: every pair solves at every stage."""
+    interference = link.interference_all(reference_powers, gains, cfg.noise_power)
+    log_qx = None if x is None else _log_qx(x, cfg)
+    outages = []
+    for i, agent in enumerate(agents):
+        agent.power, outage = _best_response_with_target(
+            agent.behavior, agent.target_sinr, x, float(gains[i, i]), float(interference[i]),
+            cfg, log_qx)
+        outages.append(outage)
+    outcomes = game.measure_followers(agents, x, gains, outages, cfg)
+    return StageRecord(t, x, tuple(agent.behavior for agent in agents), outcomes)
+
+
+def count_solves(monkeypatch) -> list:
+    """Record every maximize_concave call of the best response, as the bench tracer does."""
+    calls = []
+    solve = game.maximize_concave
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(game, "maximize_concave", counted)
+    return calls
+
+
+RUNS = {"ubeas": run_game, "npc": run_npc_game}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_reuse_is_exact_and_skips_solves_on_a_frozen_channel(monkeypatch, name):
+    cfg = GameConfig(num_pairs=12, stages=200, doppler=0.0, npc_rerandomize=False)
+    calls = count_solves(monkeypatch)
+    reused = RUNS[name](cfg)
+    reused_solves = len(calls)
+    calls.clear()
+    monkeypatch.setattr(game, "play_stage", solve_every_pair)
+    monkeypatch.setattr(npc, "play_stage", solve_every_pair)
+    every = RUNS[name](cfg)
+    assert 0 < 2 * reused_solves <= len(calls)
+    for field in RECORD_DTYPE.names:
+        assert reused.outcomes[field].tobytes() == every.outcomes[field].tobytes(), field
+    assert (reused.x is None and every.x is None) or reused.x.tobytes() == every.x.tobytes()
+
+
+def test_reuse_solves_again_when_only_satisfaction_changes():
+    cfg = GameConfig(num_pairs=3)
+    rng = np.random.default_rng(55)
+    gains = np.exp(rng.uniform(np.log(1e-12), np.log(1e-10), size=(3, 3)))
+    # weak own links, so the serious pair's answer lies inside its feasible set
+    gains[np.diag_indices(3)] = 3e-11
+    agents = [FollowerAgent(b, class_target_sinr(b, cfg), cfg.p_min) for b in BehaviorClass]
+    reference = np.full(3, cfg.p_min)
+    powers = []
+    for x in (0.001, 1.0):
+        record = game.play_stage(agents, x, reference, gains, 1, cfg)
+        fresh = [FollowerAgent(b, class_target_sinr(b, cfg), cfg.p_min) for b in BehaviorClass]
+        expected = solve_every_pair(fresh, x, reference, gains, 1, cfg)
+        assert record.outcomes.power.tobytes() == expected.outcomes.power.tobytes()
+        powers.append(record.outcomes.power.tolist())
+    assert powers[0] != powers[1]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_fading_channel_solves_every_uncapped_non_casual_pair(monkeypatch, name):
+    cfg = GameConfig(num_pairs=12, stages=60)
+    assert cfg.doppler > 0.0
+    calls = count_solves(monkeypatch)
+    traj = RUNS[name](cfg)
+    solved = np.array([b is not BehaviorClass.CASUAL for b in traj.behaviors])
+    assert len(calls) == np.count_nonzero(solved & ~traj.outcomes.outage)

@@ -4,8 +4,8 @@ left-to-right sums.
 numpy's exp, log, log10 and power differ from math's in the last bit on part
 of their inputs, and np.sum / np.mean / ndarray.sum() / .mean() add pairwise
 where the per-sample loops add left to right (builtin sum() compensates from
-Python 3.12).  Any of them in the stage measurement, the aggregation or the
-CSV writer changes the output bytes, so this walks the syntax of those
+Python 3.12).  Any of them in the best response, the stage measurement, the
+aggregation or the CSV writer changes the output bytes, so this walks the syntax of those
 functions, and of every function of the same module they call, and names
 each use.
 """
@@ -67,6 +67,15 @@ def violations(source: str, roots) -> list[str]:
 def test_csv_path_uses_no_numpy_transcendental_or_pairwise_reduction():
     for module, roots in CSV_PATH.items():
         assert violations(inspect.getsource(module), roots) == [], module.__name__
+
+
+def test_guard_reaches_the_best_response_gradient():
+    source = inspect.getsource(game)
+    assert "_gradient_fn" in reachable(functions(source), CSV_PATH[game])
+    assert source.count("hvab * gamma_b * math.exp(exponent)") == 1
+    planted = source.replace("hvab * gamma_b * math.exp(exponent)",
+                             "hvab * gamma_b * np.exp(exponent)")
+    assert violations(planted, CSV_PATH[game]) == ["_gradient_fn: np.exp"]
 
 
 def test_guard_catches_planted_uses():
