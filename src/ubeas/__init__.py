@@ -4,7 +4,6 @@ a Monte Carlo experiment harness."""
 
 from .config import (
     BehaviorClass,
-    ClassProfile,
     ConfigError,
     GameConfig,
     assign_behavior_classes,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ClassProfile, ConfigError, GameConfig, assign_behavior_classes
+from .config import BehaviorClass, ConfigError, GameConfig, assign_behavior_classes
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,12 @@ class CellTopology:
     cellular_position: np.ndarray
     tx_positions: np.ndarray
     rx_positions: np.ndarray
-    profiles: tuple[ClassProfile, ...]
+    behaviors: tuple[BehaviorClass, ...]
     distances: np.ndarray
 
     @property
     def num_pairs(self) -> int:
-        return len(self.profiles)
+        return len(self.behaviors)
 
 
 def _uniform_disc(rng: np.random.Generator, radius: float, center: np.ndarray) -> np.ndarray:
@@ -47,7 +47,7 @@ def _uniform_disc(rng: np.random.Generator, radius: float, center: np.ndarray) -
 
 
 def generate_topology(cfg: GameConfig, rng: np.random.Generator,
-                      profiles: list[ClassProfile] | None = None) -> CellTopology:
+                      behaviors: list[BehaviorClass] | None = None) -> CellTopology:
     """Draw one random cell layout.
 
     The BS sits at the origin; the cellular user and every pair's transmitter
@@ -55,9 +55,9 @@ def generate_topology(cfg: GameConfig, rng: np.random.Generator,
     radius max_pair_distance around its transmitter, rejection-sampled to stay
     inside the cell and at least min_link_distance from every transmitter.
     """
-    if profiles is None:
-        profiles = assign_behavior_classes(cfg.num_pairs, cfg.priority_mode)
-    m = len(profiles)
+    if behaviors is None:
+        behaviors = assign_behavior_classes(cfg.num_pairs)
+    m = len(behaviors)
     bs = np.zeros(2)
     cellular = _uniform_disc(rng, cfg.cell_radius, bs)
     tx = np.vstack([_uniform_disc(rng, cfg.cell_radius, bs) for _ in range(m)])
@@ -76,7 +76,7 @@ def generate_topology(cfg: GameConfig, rng: np.random.Generator,
     rx = np.vstack([draw_rx(i) for i in range(m)])
     diff = tx[:, None, :] - rx[None, :, :]
     distances = np.linalg.norm(diff, axis=2)
-    return CellTopology(bs, cellular, tx, rx, tuple(profiles), distances)
+    return CellTopology(bs, cellular, tx, rx, tuple(behaviors), distances)
 
 
 def path_loss_amplitudes(topology: CellTopology, cfg: GameConfig) -> np.ndarray:
@@ -131,8 +131,8 @@ def dump_topology_csv(topology: CellTopology, path) -> None:
         fh.write(
             f"cellular,{fmt(topology.cellular_position[0])},{fmt(topology.cellular_position[1])},\n"
         )
-        for i, profile in enumerate(topology.profiles):
+        for i, behavior in enumerate(topology.behaviors):
             tx = topology.tx_positions[i]
             rx = topology.rx_positions[i]
-            fh.write(f"tx_{i},{fmt(tx[0])},{fmt(tx[1])},{profile.behavior.label}\n")
-            fh.write(f"rx_{i},{fmt(rx[0])},{fmt(rx[1])},{profile.behavior.label}\n")
+            fh.write(f"tx_{i},{fmt(tx[0])},{fmt(tx[1])},{behavior.label}\n")
+            fh.write(f"rx_{i},{fmt(rx[0])},{fmt(rx[1])},{behavior.label}\n")

@@ -71,28 +71,17 @@ def behavior_target_pdr(behavior: BehaviorClass, priority_mode: bool) -> float:
     return TARGET_PDR_BASE
 
 
-@dataclass(frozen=True, slots=True)
-class ClassProfile:
-    """Behavior class of one D2D pair together with its minimum target PDR."""
-
-    behavior: BehaviorClass
-    target_pdr: float
-
-
-def assign_behavior_classes(m_pairs: int, priority_mode: bool) -> list[ClassProfile]:
+def assign_behavior_classes(m_pairs: int) -> list[BehaviorClass]:
     """Deterministic round-robin class assignment: pair i gets class i mod 3.
 
     Requires m_pairs divisible by 3 so every class holds exactly m_pairs/3
-    transmitters.  Pure function of (m_pairs, priority_mode).
+    transmitters.
     """
     if m_pairs <= 0 or m_pairs % 3 != 0:
         raise ConfigError(
             f"pair count must be a positive multiple of 3 for an even class split, got {m_pairs}"
         )
-    return [
-        ClassProfile(CLASS_ORDER[i % 3], behavior_target_pdr(CLASS_ORDER[i % 3], priority_mode))
-        for i in range(m_pairs)
-    ]
+    return [CLASS_ORDER[i % 3] for i in range(m_pairs)]
 
 
 # ---------------------------------------------------------------------------

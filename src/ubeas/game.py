@@ -44,7 +44,7 @@ import numpy as np
 
 from . import link
 from .channel import CellTopology, FadingState, gain_matrix, generate_topology, path_loss_amplitudes
-from .config import BehaviorClass, ClassProfile, GameConfig, behavior_target_pdr, rng_streams
+from .config import BehaviorClass, GameConfig, behavior_target_pdr, rng_streams
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -344,6 +344,19 @@ def required_power(target: float, own_gain: float, interference: float) -> float
     return target * interference / own_gain
 
 
+def feasible_floor(target: float, own_gain: float, interference: float,
+                   cfg: GameConfig) -> tuple[float, bool]:
+    """Lowest power of the feasible set [max(p_min, p_req), p_max], plus an outage flag.
+
+    When even p_max cannot reach the target the set shrinks to {p_max} and
+    the pair is in outage.
+    """
+    p_req = required_power(target, own_gain, interference)
+    if p_req > cfg.p_max:
+        return cfg.p_max, True
+    return max(cfg.p_min, p_req), False
+
+
 def follower_best_response(behavior: BehaviorClass, x: float | None, own_gain: float,
                            interference: float, cfg: GameConfig) -> tuple[float, bool]:
     """Utility-maximizing power on the feasible set, plus an outage flag.
@@ -365,16 +378,13 @@ def follower_best_response(behavior: BehaviorClass, x: float | None, own_gain: f
 def _best_response_with_target(behavior: BehaviorClass, target: float, x: float | None,
                                own_gain: float, interference: float, cfg: GameConfig,
                                log_qx: float | None) -> tuple[float, bool]:
-    p_req = required_power(target, own_gain, interference)
-    if p_req > cfg.p_max:
-        return cfg.p_max, True
-    lo = max(cfg.p_min, p_req)
-    if behavior is BehaviorClass.CASUAL:
-        # The casual performance term (g_bar/g)*p = g_bar*I/g_own does not
-        # depend on the own power and the price only rises with it, so the
-        # lowest feasible power is the best response: Yates' standard
-        # interference function (IEEE JSAC 1995).
-        return lo, False
+    lo, outage = feasible_floor(target, own_gain, interference, cfg)
+    if outage or behavior is BehaviorClass.CASUAL:
+        # In outage the feasible set is {p_max}.  The casual performance term
+        # (g_bar/g)*p = g_bar*I/g_own does not depend on the own power and
+        # the price only rises with it, so the lowest feasible power is the
+        # best response: Yates' standard interference function (IEEE JSAC 1995).
+        return lo, outage
     power = maximize_concave(
         lambda p: payoff(behavior, x, p, own_gain, interference, target, cfg),
         _gradient_fn(behavior, target, x, own_gain, interference, cfg, log_qx),
@@ -536,7 +546,7 @@ def run_stage(leader: LeaderState, agents: list[FollowerAgent], gains: np.ndarra
     return play_stage(agents, x, prev_powers, gains, t, cfg)
 
 
-def play_repetition(cfg: GameConfig, repetition: int, profiles: list[ClassProfile] | None,
+def play_repetition(cfg: GameConfig, repetition: int, behaviors: list[BehaviorClass] | None,
                     stage: Callable[..., StageRecord]) -> Trajectory:
     """Simulate one repetition, calling stage(agents, gains, t, powers_rng) at t = 1..T.
 
@@ -546,15 +556,12 @@ def play_repetition(cfg: GameConfig, repetition: int, profiles: list[ClassProfil
     policy after the initial draw.
     """
     rngs = rng_streams(cfg.seed, repetition)
-    topology = generate_topology(cfg, rngs.topology, profiles)
+    topology = generate_topology(cfg, rngs.topology, behaviors)
     m = topology.num_pairs
     fading = FadingState((m, m), cfg.jakes_oscillators, cfg.doppler, rngs.fading)
     initial = rngs.powers.uniform(cfg.p_min, cfg.p_max, size=m)
-    mod = cfg.modulation_params
-    agents = [
-        FollowerAgent(profile.behavior, link.target_sinr(profile.target_pdr, mod), float(initial[i]))
-        for i, profile in enumerate(topology.profiles)
-    ]
+    agents = [FollowerAgent(b, class_target_sinr(b, cfg), p)
+              for b, p in zip(topology.behaviors, initial.tolist())]
     pl_amp = path_loss_amplitudes(topology, cfg)
 
     outcomes = np.recarray((cfg.stages, m), RECORD_DTYPE)
@@ -569,8 +576,8 @@ def play_repetition(cfg: GameConfig, repetition: int, profiles: list[ClassProfil
 
 
 def run_game(cfg: GameConfig, repetition: int = 0,
-             profiles: list[ClassProfile] | None = None) -> Trajectory:
+             behaviors: list[BehaviorClass] | None = None) -> Trajectory:
     """Simulate one full repetition of the Stackelberg game."""
     leader = LeaderState(x=cfg.x_init)
-    return play_repetition(cfg, repetition, profiles,
+    return play_repetition(cfg, repetition, behaviors,
                            lambda agents, gains, _t, _rng: run_stage(leader, agents, gains, cfg))

@@ -14,17 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import link
 from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig
 from .game import (
+    FollowerAgent,
     StageRecord,
     Trajectory,
     _payoff_on_grid,
     class_target_sinr,
-    follower_best_response,
+    feasible_floor,
     leader_utility,
-    payoff,
-    required_power,
+    play_stage,
     run_game,
 )
 from .npc import run_npc_game
@@ -186,9 +185,8 @@ def _run_one(args: tuple[GameConfig, str, int]) -> Trajectory:
         raise RuntimeError(f"repetition {rep} failed: {exc}") from exc
 
 
-def run_experiment(cfg: GameConfig, game: str = "ubeas", jobs: int = 1,
-                   keep_trajectories: bool = True,
-                   ) -> tuple[ExperimentSummary, list[Trajectory] | None]:
+def run_experiment(cfg: GameConfig, game: str = "ubeas",
+                   jobs: int = 1) -> tuple[ExperimentSummary, list[Trajectory]]:
     """Run all repetitions of one game kind and aggregate.
 
     Deterministic for a fixed seed regardless of jobs; repetitions are always
@@ -202,8 +200,7 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas", jobs: int = 1,
             trajectories = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         trajectories = [_run_one(task) for task in tasks]
-    summary = summarize(trajectories)
-    return summary, (trajectories if keep_trajectories else None)
+    return summarize(trajectories), trajectories
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +234,12 @@ def check_epsilon_nash(record: StageRecord, gains: np.ndarray, cfg: GameConfig,
         )
         own = float(gains[i, i])
         target = class_target_sinr(behavior, cfg)
-        p_req = required_power(target, own, interference)
-        if p_req > cfg.p_max:
-            lo = hi = cfg.p_max
-        else:
-            lo, hi = max(cfg.p_min, p_req), cfg.p_max
+        lo, _ = feasible_floor(target, own, interference, cfg)
 
         # The recorded power goes through the grid's own payoff: math.exp and
         # np.exp differ in the last bit, which at a deep fade's -1e244 is a
         # false gain of 1e228.  Equal payoffs, -inf included, gain nothing.
-        grid = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
+        grid = np.linspace(lo, cfg.p_max, grid_points) if cfg.p_max > lo else np.array([lo])
         current = float(_payoff_on_grid(behavior, record.x, powers[i:i + 1], own, interference,
                                         target, cfg)[0])
         best = float(_payoff_on_grid(behavior, record.x, grid, own, interference, target, cfg).max())
@@ -285,32 +278,30 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20,
                              grid_points: int = 2_000) -> ParetoReport:
     """Verify the Pareto outcome: satisfaction converged, powers minimal.
 
-    Replays best responses on the final (frozen) gains until a fixed point,
-    then checks no follower could transmit less while meeting its target PDR
-    without losing utility.  A never-converged trajectory is reported, not
-    raised.
+    Replays play_stage on the final (frozen) gains from the last stage's
+    powers until a fixed point, then checks no follower could transmit less
+    while meeting its target PDR without losing utility.  Convergence, the
+    x profile and the class power deltas are summarize's.  A never-converged
+    trajectory is reported, not raised.
     """
     cfg = trajectory.config
-    conv = trajectory.convergence_stage
-    deltas = _class_power_deltas(trajectory)
-    if conv is None or not _x_profile_ok(trajectory.x):
+    summary = summarize([trajectory])
+    conv = summary.convergence_stages[0]
+    before, after = summary.mean_power_dbm_before, summary.mean_power_dbm_after
+    deltas = {} if before is None else {b: after[b] - before[b] for b in after if b in before}
+    if conv is None or not summary.x_profile_ok[0]:
         return ParetoReport(False, conv, False, deltas, 0)
 
     gains = trajectory.final_gains
-    powers = trajectory.outcomes.power[-1].copy()
-    m = len(powers)
-    behaviors = trajectory.behaviors
-    targets = [class_target_sinr(b, cfg) for b in behaviors]
     x = float(trajectory.x[-1])
-
+    powers = trajectory.outcomes.power[-1].copy()
+    agents = [FollowerAgent(b, class_target_sinr(b, cfg), p)
+              for b, p in zip(trajectory.behaviors, powers.tolist())]
     replay_stages = 0
-    for _ in range(window):
+    while replay_stages < window:
         replay_stages += 1
-        interference = link.interference_all(powers, gains, cfg.noise_power)
-        new_powers = powers.copy()
-        for i in range(m):
-            new_powers[i], _ = follower_best_response(
-                behaviors[i], x, float(gains[i, i]), float(interference[i]), cfg)
+        t = len(trajectory.outcomes) + replay_stages
+        new_powers = play_stage(agents, x, powers, gains, t, cfg).powers
         shift = float(np.max(np.abs(new_powers - powers)))
         powers = new_powers
         if shift < epsilon:
@@ -321,39 +312,25 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20,
     # its target PDR and not lowering its own utility.
     reduction_quantum = 1e-4
     minimality_ok = True
-    for i in range(m):
+    for i, agent in enumerate(agents):
         interference = float(
             powers @ gains[:, i] - powers[i] * gains[i, i] + cfg.noise_power
         )
         own = float(gains[i, i])
-        p_req = required_power(targets[i], own, interference)
-        lo = max(cfg.p_min, min(p_req, cfg.p_max))
+        lo, _ = feasible_floor(agent.target_sinr, own, interference, cfg)
         top = float(powers[i]) - reduction_quantum
         if top <= lo:
             continue  # already at the bottom of its feasible set
-        current = payoff(behaviors[i], x, float(powers[i]), own, interference, targets[i], cfg)
+        # The current power goes through the grid's payoff, as in check_epsilon_nash.
+        behavior, target = agent.behavior, agent.target_sinr
+        current = float(_payoff_on_grid(behavior, x, powers[i:i + 1], own, interference,
+                                        target, cfg)[0])
         grid = np.linspace(lo, top, grid_points)
-        values = _payoff_on_grid(behaviors[i], x, grid, own, interference, targets[i], cfg)
-        if np.any((values >= current) & (grid >= p_req)):
+        if np.any(_payoff_on_grid(behavior, x, grid, own, interference, target, cfg) >= current):
             minimality_ok = False
             break
 
     return ParetoReport(True, conv, minimality_ok, deltas, replay_stages)
-
-
-def _class_power_deltas(trajectory: Trajectory) -> dict[BehaviorClass, float]:
-    """Post-convergence minus pre-convergence class mean power in dB."""
-    conv = trajectory.convergence_stage
-    if conv is None:
-        return {}
-    dbm = _dbm(trajectory.outcomes.power)
-    deltas = {}
-    for b in BehaviorClass:
-        members = np.array([behavior is b for behavior in trajectory.behaviors])
-        pre, post = dbm[:conv - 1, members], dbm[conv - 1:, members]
-        if pre.size and post.size:
-            deltas[b] = float(np.mean(post.ravel())) - float(np.mean(pre.ravel()))
-    return deltas
 
 
 # ---------------------------------------------------------------------------

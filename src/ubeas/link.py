@@ -36,7 +36,6 @@ class ModulationParams:
     """
 
     name: str
-    coding_gain_db: float
     a_c: float
     b_c: float
     a: float
@@ -51,9 +50,9 @@ class ModulationParams:
 
 # 1024-byte packets with rate-1/3 turbo coding.
 MODULATIONS = {
-    "qpsk": ModulationParams("qpsk", 13.75, a_c=2.331, b_c=6.355, a=-0.0001, b=-6.22),
-    "16qam": ModulationParams("16qam", 15.75, a_c=1.383, b_c=6.565, a=-0.0014, b=-6.88),
-    "64qam": ModulationParams("64qam", 17.0, a_c=0.762, b_c=7.014, a=-0.2669, b=-7.021),
+    "qpsk": ModulationParams("qpsk", a_c=2.331, b_c=6.355, a=-0.0001, b=-6.22),
+    "16qam": ModulationParams("16qam", a_c=1.383, b_c=6.565, a=-0.0014, b=-6.88),
+    "64qam": ModulationParams("64qam", a_c=0.762, b_c=7.014, a=-0.2669, b=-7.021),
 }
 
 

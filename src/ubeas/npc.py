@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ClassProfile, GameConfig
+from .config import BehaviorClass, GameConfig
 from .game import (
     FollowerAgent,
     StageRecord,
@@ -52,13 +52,13 @@ def run_npc_stage(agents: list[FollowerAgent], planning: np.ndarray,
 
 
 def run_npc_game(cfg: GameConfig, repetition: int = 0,
-                 profiles: list[ClassProfile] | None = None) -> Trajectory:
+                 behaviors: list[BehaviorClass] | None = None) -> Trajectory:
     """Simulate one repetition of the baseline with the class mixture of the main game.
 
     Shares the topology and fading substreams with the main game, so a run
     with the same seed is a paired comparison over the identical channel.
     """
     return play_repetition(
-        cfg, repetition, profiles,
+        cfg, repetition, behaviors,
         lambda agents, gains, t, rng: run_npc_stage(
             agents, planning_powers(agents, t, rng, cfg), gains, t, cfg))

@@ -42,20 +42,20 @@ def report(criterion: int, description: str, ok: bool, detail: str = "") -> None
 
 @pytest.fixture(scope="session")
 def ubeas_summary():
-    summary, _ = run_experiment(CFG, "ubeas", keep_trajectories=False)
+    summary, _ = run_experiment(CFG, "ubeas")
     return summary
 
 
 @pytest.fixture(scope="session")
 def npc_summary():
-    summary, _ = run_experiment(CFG, "npc", keep_trajectories=False)
+    summary, _ = run_experiment(CFG, "npc")
     return summary
 
 
 @pytest.fixture(scope="session")
 def ubeas_priority_summary():
     cfg = dataclasses.replace(CFG, priority_mode=True)
-    summary, _ = run_experiment(cfg, "ubeas", keep_trajectories=False)
+    summary, _ = run_experiment(cfg, "ubeas")
     return summary
 
 

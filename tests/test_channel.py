@@ -8,7 +8,7 @@ from ubeas.channel import (
     generate_topology,
     path_loss_amplitudes,
 )
-from ubeas.config import BehaviorClass, ClassProfile, GameConfig, rng_streams
+from ubeas.config import BehaviorClass, GameConfig, rng_streams
 
 
 def small_cfg(**kw):
@@ -118,8 +118,7 @@ def test_gain_matrix_without_fading_matches_path_loss():
 
 def test_gain_matrix_symmetric_layout():
     cfg = GameConfig(num_pairs=2)
-    profiles = (ClassProfile(BehaviorClass.CASUAL, 0.9), ClassProfile(BehaviorClass.CASUAL, 0.9))
-    topo = generate_topology(cfg, rng_streams(1, 0).topology, list(profiles))
+    topo = generate_topology(cfg, rng_streams(1, 0).topology, [BehaviorClass.CASUAL] * 2)
     # square layout: tx on the left column, rx on the right, equal spacing
     object.__setattr__(topo, "tx_positions", np.array([[0.0, 0.0], [0.0, 30.0]]))
     object.__setattr__(topo, "rx_positions", np.array([[30.0, 0.0], [30.0, 30.0]]))

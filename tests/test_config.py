@@ -6,6 +6,7 @@ from ubeas.config import (
     ConfigError,
     GameConfig,
     assign_behavior_classes,
+    behavior_target_pdr,
     dbm_to_watts,
     dump_config,
     load_config,
@@ -109,28 +110,26 @@ def test_config_round_trips_through_dump():
 
 
 def test_assign_behavior_classes_even_split():
-    profiles = assign_behavior_classes(24, priority_mode=False)
+    behaviors = assign_behavior_classes(24)
     counts = {b: 0 for b in BehaviorClass}
-    for p in profiles:
-        counts[p.behavior] += 1
-        assert p.target_pdr == 0.90
+    for b in behaviors:
+        counts[b] += 1
+        assert behavior_target_pdr(b, priority_mode=False) == 0.90
     assert all(n == 8 for n in counts.values())
-    # pure function of its arguments
-    assert profiles == assign_behavior_classes(24, priority_mode=False)
+    # pure function of its argument
+    assert behaviors == assign_behavior_classes(24)
 
 
 def test_assign_behavior_classes_minimal_and_errors():
-    profiles = assign_behavior_classes(3, priority_mode=False)
-    assert [p.behavior for p in profiles] == list(BehaviorClass)
+    assert assign_behavior_classes(3) == list(BehaviorClass)
     with pytest.raises(ConfigError):
-        assign_behavior_classes(25, priority_mode=False)
+        assign_behavior_classes(25)
     with pytest.raises(ConfigError):
-        assign_behavior_classes(0, priority_mode=False)
+        assign_behavior_classes(0)
 
 
 def test_priority_targets_ordered_and_invertible():
-    profiles = assign_behavior_classes(3, priority_mode=True)
-    targets = {p.behavior: p.target_pdr for p in profiles}
+    targets = {b: behavior_target_pdr(b, priority_mode=True) for b in assign_behavior_classes(3)}
     assert targets[BehaviorClass.CASUAL] == 0.90
     assert targets[BehaviorClass.INTERMEDIATE] == 0.94
     assert targets[BehaviorClass.SERIOUS] == 0.98

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubeas import game, link, npc
-from ubeas.config import BehaviorClass, ClassProfile, ConfigError, GameConfig
+from ubeas.config import BehaviorClass, ConfigError, GameConfig
 from ubeas.game import (
     RECORD_DTYPE,
     FollowerAgent,
@@ -473,8 +473,7 @@ def frozen_single_pair_cfg():
 
 def test_single_pair_settles_at_required_power():
     cfg = frozen_single_pair_cfg()
-    profiles = [ClassProfile(BehaviorClass.CASUAL, 0.90)]
-    traj = run_game(cfg, profiles=profiles)
+    traj = run_game(cfg, behaviors=[BehaviorClass.CASUAL])
     own = float(traj.final_gains[0, 0])
     target = class_target_sinr(BehaviorClass.CASUAL, cfg)
     expected = max(cfg.p_min, target * cfg.noise_power / own)

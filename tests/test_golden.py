@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from ubeas.cli import main
+from ubeas.config import assign_behavior_classes
 
 BASE = "num_pairs = 6\nstages = 14\nrepetitions = 4\nseed = 7\n"
 
@@ -80,3 +81,27 @@ def run_digests(tmp_path, game: str, extra: str) -> dict[str, str]:
 def test_csv_digests_unchanged(case, tmp_path, capsys):
     game, extra = CASES[case]
     assert run_digests(tmp_path, game, extra) == DIGESTS[case]
+
+
+# topology.csv of repetition 0 for the ubeas-priority-off case, recorded
+# before the pairs' class profiles became bare behavior classes.
+TOPOLOGY_DIGEST = "ca327c10026fd2c0c8b9ff3ad398265ac15ceeef4d8c2d074fed1b113988473e"
+
+
+def test_dump_topology_digest_and_classes(tmp_path, capsys):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text(BASE + CASES["ubeas-priority-off"][1], encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--dump-topology"]) == 0
+    assert f"wrote {out}/topology.csv" in capsys.readouterr().out
+    path = out / "topology.csv"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TOPOLOGY_DIGEST
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    assert rows[0] == ["entity", "x_m", "y_m", "class"]
+    assert [row[0] for row in rows[1:3]] == ["bs", "cellular"]
+    behaviors = assign_behavior_classes(6)
+    pair_rows = rows[3:]
+    assert len(pair_rows) == 2 * len(behaviors)
+    for i, b in enumerate(behaviors):
+        assert pair_rows[2 * i][0] == f"tx_{i}" and pair_rows[2 * i + 1][0] == f"rx_{i}"
+        assert pair_rows[2 * i][3] == pair_rows[2 * i + 1][3] == b.label

@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from ubeas import harness, link
 from ubeas.config import BehaviorClass, ConfigError, GameConfig, watts_to_dbm
 from ubeas.game import (
     RECORD_DTYPE,
     Trajectory,
     class_target_sinr,
+    follower_best_response,
     leader_utility,
     payoff,
+    play_stage,
     required_power,
     run_game,
 )
@@ -253,9 +256,8 @@ def test_check_epsilon_nash_matches_scalar_oracle(game, perturbation):
 
 
 def test_check_epsilon_nash_single_pair():
-    from ubeas.config import ClassProfile
     cfg = GameConfig(num_pairs=1, doppler=0.0, stages=30)
-    traj = run_game(cfg, profiles=[ClassProfile(BehaviorClass.CASUAL, 0.90)])
+    traj = run_game(cfg, behaviors=[BehaviorClass.CASUAL])
     report = check_epsilon_nash(traj.records[-1], traj.final_gains, cfg,
                                 epsilon=1e-6, grid_points=4000)
     assert report.passed
@@ -292,8 +294,61 @@ def test_check_pareto_reports_unconverged_trajectory():
     assert not report.converged
 
 
+@pytest.mark.parametrize("doppler, stages", [(0.0, 600), (GameConfig().doppler, 100)])
+def test_check_pareto_class_deltas_are_summarize_after_minus_before(doppler, stages):
+    for seed in range(1007, 1011):
+        traj = run_game(GameConfig(doppler=doppler, stages=stages, seed=seed, repetitions=1))
+        report = check_pareto_convergence(traj)
+        summary = summarize([traj])
+        assert report.convergence_stage == summary.convergence_stages[0]
+        assert report.class_power_delta_dbm
+        for b, delta in report.class_power_delta_dbm.items():
+            assert delta == summary.mean_power_dbm_after[b] - summary.mean_power_dbm_before[b]
+
+
+def replay_oracle(trajectory, powers, window, epsilon=1e-6):
+    """The per-pair best-response replay check_pareto_convergence ran before
+    it replayed on play_stage: (final powers, replay stages)."""
+    cfg, gains = trajectory.config, trajectory.final_gains
+    x = float(trajectory.x[-1])
+    stages = 0
+    for _ in range(window):
+        stages += 1
+        interference = link.interference_all(powers, gains, cfg.noise_power)
+        new_powers = powers.copy()
+        for i, b in enumerate(trajectory.behaviors):
+            new_powers[i], _ = follower_best_response(
+                b, x, float(gains[i, i]), float(interference[i]), cfg)
+        shift = float(np.max(np.abs(new_powers - powers)))
+        powers = new_powers
+        if shift < epsilon:
+            break
+    return powers, stages
+
+
+@pytest.mark.parametrize("window", [1, 3, 20])
+def test_check_pareto_replay_equals_per_pair_best_responses(window, monkeypatch):
+    traj = run_game(GameConfig(num_pairs=12, doppler=0.0, stages=200))
+    bumped = traj.outcomes.copy()
+    bumped.power[-1] *= 1.03
+    forced = dataclasses.replace(traj, outcomes=bumped)
+    stages = []
+
+    def recording_play_stage(*args):
+        stages.append(play_stage(*args))
+        return stages[-1]
+
+    monkeypatch.setattr(harness, "play_stage", recording_play_stage)
+    report = check_pareto_convergence(forced, window=window)
+    powers, replay_stages = replay_oracle(forced, bumped.power[-1].copy(), window)
+    assert report.converged
+    assert report.replay_stages == replay_stages == len(stages)
+    assert replay_stages == min(window, 4)   # the 3% bump settles in 4 stages
+    assert stages[-1].outcomes.power.tolist() == powers.tolist()
+
+
 def test_outage_rate_bounds():
-    summary, _ = run_experiment(SMALL, "ubeas", keep_trajectories=False)
+    summary, _ = run_experiment(SMALL, "ubeas")
     assert 0.0 <= summary.outage_rate < 0.5
 
 
