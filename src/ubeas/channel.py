@@ -119,20 +119,3 @@ def gain_matrix(topology: CellTopology, amplitudes: np.ndarray, cfg: GameConfig,
         )
     return (pl_amplitudes * amplitudes) ** 2
 
-
-def dump_topology_csv(topology: CellTopology, path) -> None:
-    """Write the layout as CSV rows (entity, x_m, y_m, class)."""
-    def fmt(value: float) -> str:
-        return repr(float(value))
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("entity,x_m,y_m,class\n")
-        fh.write(f"bs,{fmt(topology.bs_position[0])},{fmt(topology.bs_position[1])},\n")
-        fh.write(
-            f"cellular,{fmt(topology.cellular_position[0])},{fmt(topology.cellular_position[1])},\n"
-        )
-        for i, behavior in enumerate(topology.behaviors):
-            tx = topology.tx_positions[i]
-            rx = topology.rx_positions[i]
-            fh.write(f"tx_{i},{fmt(tx[0])},{fmt(tx[1])},{behavior.label}\n")
-            fh.write(f"rx_{i},{fmt(rx[0])},{fmt(rx[1])},{behavior.label}\n")

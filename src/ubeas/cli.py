@@ -15,9 +15,14 @@ import dataclasses
 import sys
 
 from . import link
-from .channel import dump_topology_csv
 from .config import ConfigError, GameConfig, load_config_file
-from .harness import check_epsilon_nash, check_pareto_convergence, emit_outputs, run_experiment
+from .harness import (
+    check_epsilon_nash,
+    check_pareto_convergence,
+    dump_topology_csv,
+    emit_outputs,
+    run_experiment,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,13 +86,11 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         summary, trajectories = run_experiment(cfg, game=args.game, jobs=args.jobs)
         files = emit_outputs(summary, trajectories, args.out)
+        if args.dump_topology:
+            files.append(dump_topology_csv(trajectories[0].topology, f"{args.out}/topology.csv"))
     except (ConfigError, OSError) as exc:
         print(f"ubeas: {exc}", file=sys.stderr)
         return 1
-    if args.dump_topology:
-        topo_path = f"{args.out}/topology.csv"
-        dump_topology_csv(trajectories[0].topology, topo_path)
-        files.append(topo_path)
     for path in files:
         print(f"wrote {path}")
     for behavior, dbm in summary.mean_power_dbm.items():

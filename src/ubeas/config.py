@@ -186,6 +186,8 @@ class GameConfig:
             raise ConfigError(f"stages must be >= 1, got {self.stages}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.jakes_oscillators < 1:
             raise ConfigError(f"jakes_oscillators must be >= 1, got {self.jakes_oscillators}")
         if self.doppler < 0:

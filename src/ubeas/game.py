@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -45,8 +44,6 @@ import numpy as np
 from . import link
 from .channel import CellTopology, FadingState, gain_matrix, generate_topology, path_loss_amplitudes
 from .config import BehaviorClass, GameConfig, behavior_target_pdr, rng_streams
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +138,10 @@ def price_curvature_power(x: float, p: float, cfg: GameConfig) -> float:
 # Follower utilities.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _cached_target_sinr(behavior: BehaviorClass, priority_mode: bool, modulation: str) -> float:
-    return link.target_sinr(behavior_target_pdr(behavior, priority_mode),
-                            link.MODULATIONS[modulation])
-
-
 def class_target_sinr(behavior: BehaviorClass, cfg: GameConfig) -> float:
     """Linear target SINR implied by the class's minimum target PDR."""
-    return _cached_target_sinr(behavior, cfg.priority_mode, cfg.modulation)
+    return link.target_sinr(behavior_target_pdr(behavior, cfg.priority_mode),
+                            cfg.modulation_params)
 
 
 def payoff(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
@@ -284,31 +276,13 @@ def follower_utility_gradient(behavior: BehaviorClass, x: float | None, p: float
 # Concave scalar maximization on the feasible power set.
 # ---------------------------------------------------------------------------
 
-def _golden_section_max(fn: Callable[[float], float], lo: float, hi: float,
-                        tol: float) -> float:
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def maximize_concave(utility: Callable[[float], float], gradient: Callable[[float], float],
                      lo: float, hi: float, tol: float) -> float:
     """Argmax of a concave utility on [lo, hi] via derivative-sign bisection.
 
-    Boundary optima are returned exactly; if the gradient signs are not
-    consistent with concavity the raw utility is searched by golden section
-    and compared against both endpoints, ties resolved toward lower power.
+    Boundary optima are returned exactly.  Gradient signs no concave utility
+    gives (negative at lo, positive at hi) return the better endpoint, ties
+    resolved toward lower power.
     """
     if hi - lo <= tol:
         return lo
@@ -330,13 +304,7 @@ def maximize_concave(utility: Callable[[float], float], gradient: Callable[[floa
             else:
                 return mid
         return 0.5 * (a + b)
-    interior = _golden_section_max(utility, lo, hi, tol)
-    best_p, best_u = lo, utility(lo)
-    for candidate in (interior, hi):
-        value = utility(candidate)
-        if value > best_u:
-            best_p, best_u = candidate, value
-    return best_p
+    return hi if utility(hi) > utility(lo) else lo
 
 
 def required_power(target: float, own_gain: float, interference: float) -> float:

@@ -11,9 +11,11 @@ import concurrent.futures
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from .channel import CellTopology
 from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig
 from .game import (
     FollowerAgent,
@@ -361,6 +363,70 @@ TRAJECTORY_HEADER = "rep,t,pair,class,x,p_dbm,sinr,pdr,utility,price,outage"
 WRITE_ROWS = 1536
 
 
+def _write_csv(path: Path | str, header: str, blocks: Iterable[list[str]]) -> Path | str:
+    """Write a UTF-8 CSV file: the header, then every line of every block, each ending in \\n."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for lines in blocks:
+            if lines:
+                fh.write("\n".join(lines) + "\n")
+            del lines   # free this block before the next one is formatted
+    return path
+
+
+def _trajectory_blocks(trajectories: list[Trajectory]) -> Iterator[list[str]]:
+    """The rows of trajectory.csv, formatted column by column in blocks of whole stages."""
+    for rep, traj in enumerate(trajectories):
+        pairs = [f"{i},{b.label}," for i, b in enumerate(traj.behaviors)]
+        xs = [""] * len(traj.outcomes) if traj.x is None else _cells(traj.x)
+        step = max(1, WRITE_ROWS // len(pairs))
+        for start in range(0, len(traj.outcomes), step):
+            block = traj.outcomes[start:start + step]
+            heads = [f"{rep},{t},{pair}{x}"
+                     for t, x in enumerate(xs[start:start + len(block)], start + 1)
+                     for pair in pairs]
+            outage = ["1" if o else "0" for o in block["outage"].ravel().tolist()]
+            columns = [_cells(_dbm(block["power"]))] + [
+                _cells(block[name]) for name in ("sinr", "pdr", "utility", "price")]
+            yield list(map(",".join, zip(heads, *columns, outage)))
+
+
+def _summary_tables(summary: ExperimentSummary) -> Iterator[tuple[str, str, list[str]]]:
+    """(file name, header, lines) of summary.csv, the three wide per-stage files and long.csv."""
+    def row(metric: str, label: str, values: dict | None) -> str:
+        cells = ["" if values is None else _fmt(values.get(b)) for b in CLASS_ORDER]
+        return ",".join([metric, label] + cells)
+
+    power = "mean transmit power (dBm)"
+    rows = []
+    if summary.game == "ubeas":
+        rows += [row(power, "before BS convergence", summary.mean_power_dbm_before),
+                 row(power, "after BS convergence", summary.mean_power_dbm_after)]
+    rows += [row(power, "overall", summary.mean_power_dbm),
+             row("mean PDR", "overall", summary.mean_pdr),
+             row("power standard error (dB)", "overall", summary.se_power_db),
+             f"outage rate,overall,{_fmt(summary.outage_rate)},,"]
+    yield "summary.csv", "metric,row,casual,intermediate,serious", rows
+
+    # Each wide file's columns as (long.csv series name, per-stage values or
+    # None); long.csv lists the present series of all three, in order.
+    wide = (
+        ("satisfaction.csv", "t,mean_x", [("mean_x", summary.stage_mean_x)]),
+        ("class_power.csv", "t,casual_dbm,intermediate_dbm,serious_dbm",
+         [(f"{b.label}_power_dbm", summary.stage_class_power_dbm.get(b)) for b in CLASS_ORDER]),
+        ("class_pdr.csv", "t,casual,intermediate,serious",
+         [(f"{b.label}_pdr", summary.stage_class_pdr.get(b)) for b in CLASS_ORDER]),
+    )
+    t = [str(k) for k in range(1, summary.stages + 1)]
+    for name, header, columns in wide:
+        cells = [[""] * len(t) if values is None else [_fmt(v) for v in values]
+                 for _, values in columns]
+        yield name, header, list(map(",".join, zip(t, *cells)))
+    yield "long.csv", "series,t,value", [
+        f"{series},{k},{_fmt(v)}" for _, _, columns in wide
+        for series, values in columns if values is not None for k, v in zip(t, values)]
+
+
 def emit_outputs(summary: ExperimentSummary, trajectories: list[Trajectory],
                  out_dir) -> list[Path]:
     """Write the experiment outputs as UTF-8 CSV files with fixed headers.
@@ -371,83 +437,17 @@ def emit_outputs(summary: ExperimentSummary, trajectories: list[Trajectory],
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = [_write_csv(out / "trajectory.csv", TRAJECTORY_HEADER,
+                          _trajectory_blocks(trajectories))]
+    return written + [_write_csv(out / name, header, [lines])
+                      for name, header, lines in _summary_tables(summary)]
 
-    path = out / "trajectory.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for rep, traj in enumerate(trajectories):
-            pairs = [f"{i},{b.label}," for i, b in enumerate(traj.behaviors)]
-            xs = [""] * len(traj.outcomes) if traj.x is None else _cells(traj.x)
-            step = max(1, WRITE_ROWS // len(pairs))
-            for start in range(0, len(traj.outcomes), step):
-                block = traj.outcomes[start:start + step]
-                heads = [f"{rep},{t},{pair}{x}"
-                         for t, x in enumerate(xs[start:start + len(block)], start + 1)
-                         for pair in pairs]
-                outage = ["1" if o else "0" for o in block["outage"].ravel().tolist()]
-                columns = [_cells(_dbm(block["power"]))] + [
-                    _cells(block[name]) for name in ("sinr", "pdr", "utility", "price")]
-                fh.write("\n".join(map(",".join, zip(heads, *columns, outage))) + "\n")
-    written.append(path)
 
-    path = out / "summary.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("metric,row,casual,intermediate,serious\n")
-
-        def row(metric: str, label: str, values: dict | None) -> str:
-            cells = [
-                _fmt(values.get(b)) if values is not None else ""
-                for b in CLASS_ORDER
-            ]
-            return f"{metric},{label}," + ",".join(cells) + "\n"
-
-        if summary.game == "ubeas":
-            fh.write(row("mean transmit power (dBm)", "before BS convergence",
-                         summary.mean_power_dbm_before))
-            fh.write(row("mean transmit power (dBm)", "after BS convergence",
-                         summary.mean_power_dbm_after))
-        fh.write(row("mean transmit power (dBm)", "overall", summary.mean_power_dbm))
-        fh.write(row("mean PDR", "overall", summary.mean_pdr))
-        fh.write(row("power standard error (dB)", "overall", summary.se_power_db))
-        fh.write(f"outage rate,overall,{_fmt(summary.outage_rate)},,\n")
-    written.append(path)
-
-    path = out / "satisfaction.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,mean_x\n")
-        for k in range(summary.stages):
-            x = summary.stage_mean_x[k] if summary.stage_mean_x is not None else None
-            fh.write(f"{k + 1},{_fmt(x)}\n")
-    written.append(path)
-
-    per_class_series = (
-        ("class_power.csv", "t,casual_dbm,intermediate_dbm,serious_dbm", summary.stage_class_power_dbm),
-        ("class_pdr.csv", "t,casual,intermediate,serious", summary.stage_class_pdr),
-    )
-    for name, header, series in per_class_series:
-        path = out / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            for k in range(summary.stages):
-                cells = [_fmt(series[b][k]) if b in series else "" for b in CLASS_ORDER]
-                fh.write(f"{k + 1}," + ",".join(cells) + "\n")
-        written.append(path)
-
-    path = out / "long.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("series,t,value\n")
-        if summary.stage_mean_x is not None:
-            for k in range(summary.stages):
-                fh.write(f"mean_x,{k + 1},{_fmt(summary.stage_mean_x[k])}\n")
-        for b in CLASS_ORDER:
-            if b in summary.stage_class_power_dbm:
-                for k in range(summary.stages):
-                    fh.write(f"{b.label}_power_dbm,{k + 1},"
-                             f"{_fmt(summary.stage_class_power_dbm[b][k])}\n")
-        for b in CLASS_ORDER:
-            if b in summary.stage_class_pdr:
-                for k in range(summary.stages):
-                    fh.write(f"{b.label}_pdr,{k + 1},{_fmt(summary.stage_class_pdr[b][k])}\n")
-    written.append(path)
-    return written
+def dump_topology_csv(topology: CellTopology, path: Path | str) -> Path | str:
+    """Write the layout as CSV rows (entity, x_m, y_m, class)."""
+    points = [("bs", topology.bs_position, ""), ("cellular", topology.cellular_position, "")]
+    for i, b in enumerate(topology.behaviors):
+        points += [(f"tx_{i}", topology.tx_positions[i], b.label),
+                   (f"rx_{i}", topology.rx_positions[i], b.label)]
+    return _write_csv(path, "entity,x_m,y_m,class",
+                      [[f"{name},{_fmt(x)},{_fmt(y)},{label}" for name, (x, y), label in points]])

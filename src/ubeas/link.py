@@ -100,8 +100,8 @@ def fit_pdr_params(samples: Iterable[tuple[float, float]]) -> tuple[float, float
     if len(pts) < 2:
         raise FitError(f"need at least 2 samples, got {len(pts)}")
     for g, p in pts:
-        if g <= 0.0:
-            raise FitError(f"sample SINR must be positive, got {g}")
+        if not (math.isfinite(g) and g > 0.0):
+            raise FitError(f"sample SINR must be positive and finite, got {g}")
         if not 0.0 < p < 1.0:
             raise FitError(f"sample PDR must lie strictly in (0, 1), got {p}")
     gammas = np.array([g for g, _ in pts])
@@ -109,20 +109,21 @@ def fit_pdr_params(samples: Iterable[tuple[float, float]]) -> tuple[float, float
     if np.ptp(gammas) == 0.0 or np.ptp(pdrs) == 0.0:
         raise FitError("samples are degenerate: SINR and PDR values must vary")
 
-    # Log-log linearization for the starting point.
-    lx = np.log(gammas)
-    ly = np.log(-np.log(pdrs))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    b_c0 = max(-slope, 1e-3)
-    a_c0 = math.exp(-intercept / b_c0)
-
     def residuals(theta):
         a_c, b_c = theta
         return np.exp(-((1.0 / (gammas * a_c)) ** b_c)) - pdrs
 
-    result = least_squares(residuals, x0=[a_c0, b_c0],
-                           bounds=([1e-9, 1e-9], [np.inf, np.inf]),
-                           xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    try:
+        # Log-log linearization for the starting point.
+        slope, intercept = np.polyfit(np.log(gammas), np.log(-np.log(pdrs)), 1)
+        b_c0 = max(-slope, 1e-3)
+        a_c0 = math.exp(-intercept / b_c0)
+        result = least_squares(residuals, x0=[a_c0, b_c0],
+                               bounds=([1e-9, 1e-9], [np.inf, np.inf]),
+                               xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    except (ArithmeticError, ValueError) as exc:   # np.linalg.LinAlgError is a ValueError
+        # SINRs spanning hundreds of decades put the start point out of range.
+        raise FitError(f"cannot fit the samples: {exc}") from exc
     if not result.success:
         raise FitError(f"least-squares fit failed: {result.message}")
     return float(result.x[0]), float(result.x[1])

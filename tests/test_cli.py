@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import ubeas
 from ubeas.cli import main
+from ubeas.config import GameConfig
 from ubeas.link import MODULATIONS
 
 
@@ -112,6 +113,30 @@ def test_fit_rejects_missing_file(capsys):
     assert main(["fit", "--samples", "/nonexistent/samples.csv"]) == 1
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan", "1e-320", "1e150", "1e300"])
+def test_fit_with_unusable_sinr_exits_one(tmp_path, capsys, bad):
+    samples = tmp_path / "samples.csv"
+    write_fit_samples(samples)
+    with open(samples, "a", encoding="utf-8") as fh:
+        fh.write(f"\n{bad},0.5\n")
+    assert main(["fit", "--samples", str(samples)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ubeas: ")
+    assert "Traceback" not in err
+
+
+def test_unwritable_topology_csv_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cell.cfg"
+    write_small_config(cfg, stages=4, reps=1)
+    out = tmp_path / "out"
+    (out / "topology.csv").mkdir(parents=True)
+    code = main(["run", "--config", str(cfg), "--out", str(out), "--dump-topology"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ubeas: ")
+    assert "Traceback" not in err
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 1
 
@@ -183,11 +208,16 @@ def test_any_config_exits_cleanly(overrides, game):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["run", "--config", str(cfg), "--game", game, "--reps", "1",
-                         "--out", str(Path(tmp) / "o")])
+                         "--out", str(Path(tmp) / "o"), "--dump-topology"])
         if code == 1:
             assert err.getvalue().startswith("ubeas: ")
             return
         assert code == 0, err.getvalue()
+        with open(Path(tmp) / "o" / "topology.csv", encoding="utf-8") as fh:
+            topology = fh.read().splitlines()
+        num_pairs = overrides.get("num_pairs", GameConfig().num_pairs)
+        assert topology[0] == "entity,x_m,y_m,class"
+        assert len(topology) == 1 + 2 + 2 * num_pairs
         with open(Path(tmp) / "o" / "summary.csv", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
         values = [float(cell) for row in rows for cell in row[2:] if cell]

@@ -91,6 +91,8 @@ def test_load_config_rejects_bad_values():
         load_config("cell_radius = big")
     with pytest.raises(ConfigError, match="boolean"):
         load_config("priority_mode = maybe")
+    with pytest.raises(ConfigError, match="seed"):
+        load_config("seed = -1")
 
 
 def test_validation_names_price_domain_invariant():

@@ -556,3 +556,23 @@ def test_emit_outputs_hand_built_edge_cases(tmp_path):
     assert (tmp_path / "class_pdr.csv").read_text().splitlines() == [
         "t,casual,intermediate,serious", "1,0.9,,", "2,0.5,,"]
     assert (tmp_path / "satisfaction.csv").read_text().splitlines() == ["t,mean_x", "1,", "2,"]
+    # NPC: no before/after rows; the missing intermediate class and the
+    # never-served serious class leave empty cells and series
+    assert (tmp_path / "summary.csv").read_text().splitlines() == [
+        "metric,row,casual,intermediate,serious",
+        "mean transmit power (dBm),overall,1.505149978319906,,23.010299956639813",
+        "mean PDR,overall,0.7,,",
+        "power standard error (dB),overall,1.0643017563727906,,0.0",
+        "outage rate,overall,0.5,,",
+    ]
+    assert (tmp_path / "long.csv").read_text().splitlines() == [
+        "series,t,value",
+        "casual_power_dbm,1,0.0",
+        "casual_power_dbm,2,3.010299956639812",
+        "serious_power_dbm,1,23.010299956639813",
+        "serious_power_dbm,2,23.010299956639813",
+        "casual_pdr,1,0.9",
+        "casual_pdr,2,0.5",
+        "serious_pdr,1,",
+        "serious_pdr,2,",
+    ]

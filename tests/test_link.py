@@ -151,3 +151,8 @@ def test_fit_rejects_degenerate_samples():
         fit_pdr_params([(1.0, 0.9), (1.0, 0.9), (1.0, 0.9)])
     with pytest.raises(FitError):
         fit_pdr_params([(1.0, 0.9), (2.0, 1.5)])
+    # a non-finite or extreme SINR among valid samples; the last three
+    # overflow the log-log starting point
+    for bad in (math.inf, math.nan, 1e-320, 1e150, 1e300):
+        with pytest.raises(FitError):
+            fit_pdr_params(_samples(QAM16, 0.7, 3.0) + [(bad, 0.5)])

@@ -78,6 +78,14 @@ def test_guard_reaches_the_best_response_gradient():
     assert violations(planted, CSV_PATH[game]) == ["_gradient_fn: np.exp"]
 
 
+def test_guard_reaches_the_trajectory_formatter():
+    source = inspect.getsource(harness)
+    assert "_trajectory_blocks" in reachable(functions(source), CSV_PATH[harness])
+    assert source.count("_cells(block[name])") == 1
+    planted = source.replace("_cells(block[name])", "_cells(np.log(block[name]))")
+    assert violations(planted, CSV_PATH[harness]) == ["_trajectory_blocks: np.log"]
+
+
 def test_guard_catches_planted_uses():
     source = inspect.getsource(harness)
     assert "map(math.log10," in source
