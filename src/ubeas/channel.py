@@ -108,14 +108,10 @@ class FadingState:
         return np.abs(self._osc.sum(axis=-1)) * self._norm
 
 
-def gain_matrix(topology: CellTopology, amplitudes: np.ndarray, cfg: GameConfig,
-                pl_amplitudes: np.ndarray | None = None) -> np.ndarray:
+def gain_matrix(pl_amplitudes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """Per-stage linear power gains G[j, i] = (A_PL * A_SSF * (d0/d)**(alpha/2))**2."""
-    if pl_amplitudes is None:
-        pl_amplitudes = path_loss_amplitudes(topology, cfg)
     if amplitudes.shape != pl_amplitudes.shape:
         raise ValueError(
             f"fading shape {amplitudes.shape} does not match topology {pl_amplitudes.shape}"
         )
     return (pl_amplitudes * amplitudes) ** 2
-

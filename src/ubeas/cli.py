@@ -120,15 +120,21 @@ def _cmd_fit(args) -> int:
     try:
         samples = []
         with open(args.samples, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip():
+            rows = csv.reader(fh)
+            header_allowed = True
+            for row in rows:
+                if not any(cell.strip() for cell in row):
                     continue
                 try:
-                    samples.append((float(row[0]), float(row[1])))
+                    sinr, pdr = map(float, row)
+                    samples.append((sinr, pdr))
                 except ValueError:
-                    continue  # header or comment row
+                    if not header_allowed:   # only the first non-blank row may be a header
+                        raise link.FitError(f"line {rows.line_num}: expected two numbers "
+                                            f"sinr,pdr, got {','.join(row)!r}") from None
+                header_allowed = False
         a_c, b_c = link.fit_pdr_params(samples)
-    except (OSError, link.FitError, IndexError) as exc:
+    except (OSError, link.FitError) as exc:
         print(f"ubeas: {exc}", file=sys.stderr)
         return 1
     a = -((1.0 / a_c) ** b_c)

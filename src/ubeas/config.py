@@ -154,44 +154,21 @@ class GameConfig:
         return link.MODULATIONS[self.modulation]
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first violated invariant."""
-        base = {
-            "cell_radius": self.cell_radius,
-            "max_pair_distance": self.max_pair_distance,
-            "min_link_distance": self.min_link_distance,
-            "reference_distance": self.reference_distance,
-            "path_loss_exponent": self.path_loss_exponent,
-            "path_loss_attenuation": self.path_loss_attenuation,
-            "noise_power": self.noise_power,
-            "p_min": self.p_min,
-            "kappa_c": self.kappa_c,
-            "delta": self.delta,
-            "q": self.q,
-            "y": self.y,
-            "z": self.z,
-            "s": self.s,
-            "c": self.c,
-            "v": self.v,
-            "h_i": self.h_i,
-            "x_init": self.x_init,
-            "x_floor": self.x_floor,
-            "br_tolerance": self.br_tolerance,
-        }
-        for name, value in base.items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
-        if self.num_pairs < 1:
-            raise ConfigError(f"num_pairs must be >= 1, got {self.num_pairs}")
-        if self.stages < 1:
-            raise ConfigError(f"stages must be >= 1, got {self.stages}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.jakes_oscillators < 1:
-            raise ConfigError(f"jakes_oscillators must be >= 1, got {self.jakes_oscillators}")
-        if self.doppler < 0:
-            raise ConfigError(f"doppler must be >= 0, got {self.doppler}")
+        """Raise ConfigError naming the first violated invariant.
+
+        Each field is first checked by its declared type: a float must be
+        finite and above 0, an int at least 1.  doppler may be 0 (a frozen
+        channel) and seed may be 0.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            zero_ok = f.name in ("doppler", "seed")
+            if f.type == "float" and not (isinstance(value, (int, float)) and math.isfinite(value)
+                                          and (value >= 0.0 if zero_ok else value > 0.0)):
+                bound = ">= 0" if zero_ok else "> 0"
+                raise ConfigError(f"{f.name} must be a finite number {bound}, got {value!r}")
+            if f.type == "int" and value < (0 if zero_ok else 1):
+                raise ConfigError(f"{f.name} must be >= {0 if zero_ok else 1}, got {value}")
         if self.max_pair_distance > self.cell_radius:
             raise ConfigError("max_pair_distance must not exceed cell_radius")
         if self.min_link_distance >= self.max_pair_distance:

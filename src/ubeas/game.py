@@ -66,15 +66,12 @@ def leader_utility(x: float | np.ndarray, p_bar: float, t: float, x_prev: float,
     return -p_bar * x * x + beta * x + kappa
 
 
-def leader_best_satisfaction(x_prev: float, p_bar: float, t: float,
-                             x_floor: float = 0.001) -> float:
+def leader_best_satisfaction(x_prev: float, t: float, x_floor: float = 0.001) -> float:
     """Maximizer of the leader utility over [x_floor, 1].
 
-    The unconstrained optimum beta / (2 * p_bar) reduces to x_prev * ln(t);
-    the floor prevents collapse at t = 2 where ln(2) < 1.
+    The unconstrained optimum beta / (2 * p_bar) reduces to x_prev * ln(t) for
+    any p_bar; the floor prevents collapse at t = 2 where ln(2) < 1.
     """
-    if p_bar <= 0.0:
-        raise ValueError(f"average power must be positive, got {p_bar}")
     if t < 1.0:
         raise ValueError(f"stage index must be >= 1, got {t}")
     return min(1.0, max(x_floor, x_prev * math.log(t)))
@@ -497,18 +494,14 @@ def run_stage(leader: LeaderState, agents: list[FollowerAgent], gains: np.ndarra
               cfg: GameConfig) -> StageRecord:
     """Advance the game by one stage and return its record.
 
-    Sequence: the leader measures the previous-stage average power and updates
-    its satisfaction (held at x_init for the opening stage); each follower
-    best-responds to the previous-stage interference using the new
-    satisfaction in its price; performance is then measured with the new
-    powers on the current gains.
+    Sequence: the leader moves its satisfaction to its best response (x_init
+    for the opening stage); each follower best-responds to the previous-stage
+    interference using the new satisfaction in its price; performance is then
+    measured with the new powers on the current gains.
     """
     t = leader.t + 1
     prev_powers = np.array([agent.power for agent in agents])
-    if t == 1:
-        x = cfg.x_init
-    else:
-        x = leader_best_satisfaction(leader.x, float(prev_powers.mean()), float(t), cfg.x_floor)
+    x = cfg.x_init if t == 1 else leader_best_satisfaction(leader.x, float(t), cfg.x_floor)
     leader.t = t
     leader.x = x
     return play_stage(agents, x, prev_powers, gains, t, cfg)
@@ -535,7 +528,7 @@ def play_repetition(cfg: GameConfig, repetition: int, behaviors: list[BehaviorCl
     outcomes = np.recarray((cfg.stages, m), RECORD_DTYPE)
     xs = []
     for t in range(1, cfg.stages + 1):
-        gains = gain_matrix(topology, fading.advance(), cfg, pl_amp)
+        gains = gain_matrix(pl_amp, fading.advance())
         record = stage(agents, gains, t, rngs.powers)
         outcomes[t - 1] = record.outcomes
         xs.append(record.x)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -197,6 +198,8 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
     if game not in GAMES:
         raise ValueError(f"unknown game kind {game!r}; expected one of {tuple(GAMES)}")
     tasks = [(cfg, game, rep) for rep in range(cfg.repetitions)]
+    # A forking pool starts every worker at its first submit: one per repetition is enough.
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             trajectories = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
@@ -208,6 +211,26 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
 # ---------------------------------------------------------------------------
 # Equilibrium verifiers.
 # ---------------------------------------------------------------------------
+
+def _follower_audits(behaviors: tuple[BehaviorClass, ...], x: float | None, powers: np.ndarray,
+                     gains: np.ndarray, cfg: GameConfig) -> Iterator[tuple[float, float, Callable]]:
+    """Per follower, against the others' powers: (lowest feasible power, payoff
+    at its own power, payoff at every power of an array).
+
+    The own power goes through the grid's payoff: math.exp and np.exp differ
+    in the last bit, which at a deep fade's -1e244 is a false gain of 1e228.
+    """
+    for i, behavior in enumerate(behaviors):
+        interference = float(
+            powers @ gains[:, i] - powers[i] * gains[i, i] + cfg.noise_power
+        )
+        own = float(gains[i, i])
+        target = class_target_sinr(behavior, cfg)
+        lo, _ = feasible_floor(target, own, interference, cfg)
+        on_grid = partial(_payoff_on_grid, behavior, x, own_gain=own, interference=interference,
+                          target=target, cfg=cfg)
+        yield lo, float(on_grid(powers[i:i + 1])[0]), on_grid
+
 
 @dataclass(frozen=True)
 class NashReport:
@@ -230,21 +253,10 @@ def check_epsilon_nash(record: StageRecord, gains: np.ndarray, cfg: GameConfig,
     """
     powers = record.powers
     deviation_gains = []
-    for i, behavior in enumerate(record.behaviors):
-        interference = float(
-            powers @ gains[:, i] - powers[i] * gains[i, i] + cfg.noise_power
-        )
-        own = float(gains[i, i])
-        target = class_target_sinr(behavior, cfg)
-        lo, _ = feasible_floor(target, own, interference, cfg)
-
-        # The recorded power goes through the grid's own payoff: math.exp and
-        # np.exp differ in the last bit, which at a deep fade's -1e244 is a
-        # false gain of 1e228.  Equal payoffs, -inf included, gain nothing.
+    for lo, current, on_grid in _follower_audits(record.behaviors, record.x, powers, gains, cfg):
         grid = np.linspace(lo, cfg.p_max, grid_points) if cfg.p_max > lo else np.array([lo])
-        current = float(_payoff_on_grid(behavior, record.x, powers[i:i + 1], own, interference,
-                                        target, cfg)[0])
-        best = float(_payoff_on_grid(behavior, record.x, grid, own, interference, target, cfg).max())
+        best = float(on_grid(grid).max())
+        # Equal payoffs, -inf included, gain nothing.
         deviation_gains.append(0.0 if best == current else best - current)
 
     worst = int(np.argmax(deviation_gains)) if deviation_gains else None
@@ -275,16 +287,21 @@ class ParetoReport:
     replay_stages: int
 
 
-def check_pareto_convergence(trajectory: Trajectory, window: int = 20,
-                             epsilon: float = 1e-6,
-                             grid_points: int = 2_000) -> ParetoReport:
+# The replay stops once no power moves by PARETO_EPSILON; the minimality scan
+# checks PARETO_GRID_POINTS powers from the floor to PARETO_REDUCTION below each own power.
+PARETO_EPSILON = 1e-6
+PARETO_REDUCTION = 1e-4
+PARETO_GRID_POINTS = 2_000
+
+
+def check_pareto_convergence(trajectory: Trajectory, window: int = 20) -> ParetoReport:
     """Verify the Pareto outcome: satisfaction converged, powers minimal.
 
     Replays play_stage on the final (frozen) gains from the last stage's
-    powers until a fixed point, then checks no follower could transmit less
-    while meeting its target PDR without losing utility.  Convergence, the
-    x profile and the class power deltas are summarize's.  A never-converged
-    trajectory is reported, not raised.
+    powers for at most window stages, until a fixed point, then checks no
+    follower could transmit less while meeting its target PDR without losing
+    utility.  Convergence, the x profile and the class power deltas are
+    summarize's.  A never-converged trajectory is reported, not raised.
     """
     cfg = trajectory.config
     summary = summarize([trajectory])
@@ -306,32 +323,13 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20,
         new_powers = play_stage(agents, x, powers, gains, t, cfg).powers
         shift = float(np.max(np.abs(new_powers - powers)))
         powers = new_powers
-        if shift < epsilon:
+        if shift < PARETO_EPSILON:
             break
 
-    # A follower fails power-minimality if it could transmit meaningfully less
-    # (at least the reduction quantum below its current power) while keeping
-    # its target PDR and not lowering its own utility.
-    reduction_quantum = 1e-4
-    minimality_ok = True
-    for i, agent in enumerate(agents):
-        interference = float(
-            powers @ gains[:, i] - powers[i] * gains[i, i] + cfg.noise_power
-        )
-        own = float(gains[i, i])
-        lo, _ = feasible_floor(agent.target_sinr, own, interference, cfg)
-        top = float(powers[i]) - reduction_quantum
-        if top <= lo:
-            continue  # already at the bottom of its feasible set
-        # The current power goes through the grid's payoff, as in check_epsilon_nash.
-        behavior, target = agent.behavior, agent.target_sinr
-        current = float(_payoff_on_grid(behavior, x, powers[i:i + 1], own, interference,
-                                        target, cfg)[0])
-        grid = np.linspace(lo, top, grid_points)
-        if np.any(_payoff_on_grid(behavior, x, grid, own, interference, target, cfg) >= current):
-            minimality_ok = False
-            break
-
+    audits = _follower_audits(trajectory.behaviors, x, powers, gains, cfg)
+    minimality_ok = not any(
+        top > lo and np.any(on_grid(np.linspace(lo, top, PARETO_GRID_POINTS)) >= current)
+        for top, (lo, current, on_grid) in zip((powers - PARETO_REDUCTION).tolist(), audits))
     return ParetoReport(True, conv, minimality_ok, deltas, replay_stages)
 
 

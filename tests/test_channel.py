@@ -110,7 +110,7 @@ def test_gain_matrix_without_fading_matches_path_loss():
     cfg = small_cfg()
     topo = generate_topology(cfg, rng_streams(cfg.seed, 0).topology)
     ones = np.ones((cfg.num_pairs, cfg.num_pairs))
-    gains = gain_matrix(topo, ones, cfg)
+    gains = gain_matrix(path_loss_amplitudes(topo, cfg), ones)
     expected = (cfg.path_loss_attenuation
                 * (cfg.reference_distance / topo.distances) ** (cfg.path_loss_exponent / 2.0)) ** 2
     assert np.allclose(gains, expected, rtol=1e-15)
@@ -124,7 +124,7 @@ def test_gain_matrix_symmetric_layout():
     object.__setattr__(topo, "rx_positions", np.array([[30.0, 0.0], [30.0, 30.0]]))
     diff = topo.tx_positions[:, None, :] - topo.rx_positions[None, :, :]
     object.__setattr__(topo, "distances", np.linalg.norm(diff, axis=2))
-    gains = gain_matrix(topo, np.ones((2, 2)), cfg)
+    gains = gain_matrix(path_loss_amplitudes(topo, cfg), np.ones((2, 2)))
     assert gains[0, 1] == gains[1, 0]
     assert gains[0, 0] == gains[1, 1]
 
@@ -135,7 +135,7 @@ def test_gain_matrix_elementwise_oracle():
     topo = generate_topology(cfg, streams.topology)
     fading = FadingState((cfg.num_pairs, cfg.num_pairs), 16, 0.01, streams.fading)
     amps = fading.advance()
-    gains = gain_matrix(topo, amps, cfg, path_loss_amplitudes(topo, cfg))
+    gains = gain_matrix(path_loss_amplitudes(topo, cfg), amps)
     for j in range(cfg.num_pairs):
         for i in range(cfg.num_pairs):
             d = float(topo.distances[j, i])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import ubeas
 from ubeas.cli import main
-from ubeas.config import GameConfig
+from ubeas.config import ConfigError, GameConfig, load_config
 from ubeas.link import MODULATIONS
 
 
@@ -125,6 +125,31 @@ def test_fit_with_unusable_sinr_exits_one(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["2.0,abc", "1.5,0.9,extra", "2.0"],
+                         ids=["non-number", "third-cell", "one-cell"])
+def test_fit_bad_row_exits_one_naming_its_line(tmp_path, capsys, bad):
+    samples = tmp_path / "samples.csv"
+    write_fit_samples(samples)
+    lines = samples.read_text(encoding="utf-8").splitlines()
+    samples.write_text("\n".join(lines[:11] + [bad] + lines[11:]), encoding="utf-8")
+    assert main(["fit", "--samples", str(samples)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ubeas: ")
+    assert "line 12" in err and bad in err
+    assert "Traceback" not in err
+
+
+def test_fit_without_header(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    write_fit_samples(samples)
+    lines = samples.read_text(encoding="utf-8").splitlines()
+    samples.write_text("\n".join(lines[1:]), encoding="utf-8")
+    assert main(["fit", "--samples", str(samples)]) == 0
+    out = capsys.readouterr().out
+    assert "a_c = 1.383" in out
+    assert "b_c = 6.565" in out
+
+
 def test_unwritable_topology_csv_exits_one(tmp_path, capsys):
     cfg = tmp_path / "cell.cfg"
     write_small_config(cfg, stages=4, reps=1)
@@ -147,8 +172,11 @@ def test_no_arguments_is_usage_error(capsys):
     ("num_pairs = 6\n", ["--stages", "0"]),
     ("num_pairs = 6\n", ["--stages", "0", "--game", "npc"]),
     ("num_pairs = 6\nbr_tolerance = 1e-20\n", ["--game", "npc"]),
+    ("num_pairs = 6\ndoppler = nan\n", []),
+    ("num_pairs = 6\nw = nan\n", []),
+    ("num_pairs = 6\np_max = nan\n", []),
 ], ids=["pairs-not-multiple-of-3", "crowded-cell", "zero-stages", "zero-stages-npc",
-        "tolerance-below-float-spacing"])
+        "tolerance-below-float-spacing", "doppler-nan", "w-nan", "p_max-nan"])
 def test_config_that_cannot_run_exits_one(tmp_path, capsys, config_text, extra_args):
     cfg = tmp_path / "cell.cfg"
     cfg.write_text(config_text + "stages = 4\nrepetitions = 2\n", encoding="utf-8")
@@ -157,6 +185,11 @@ def test_config_that_cannot_run_exits_one(tmp_path, capsys, config_text, extra_a
     assert code == 1
     assert err.startswith("ubeas: ")
     assert "Traceback" not in err
+    try:
+        load_config(config_text)
+    except ConfigError:
+        # a config validate rejects never reaches a repetition
+        assert "repetition" not in err
 
 
 def test_class_without_served_pair_stages_prints_without_pdr(tmp_path, capsys):

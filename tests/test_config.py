@@ -1,3 +1,7 @@
+import math
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -102,6 +106,35 @@ def test_validation_names_price_domain_invariant():
         GameConfig(q=1.5)
     with pytest.raises(ConfigError, match="w"):
         GameConfig(w=0.5)
+
+
+FLOAT_FIELDS = [f.name for f in fields(GameConfig) if f.type == "float"]
+INT_FIELDS = [f.name for f in fields(GameConfig) if f.type == "int"]
+
+
+def test_every_field_has_a_type_the_parser_and_validate_understand():
+    assert {f.type for f in fields(GameConfig)} <= {"float", "int", "bool", "str"}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_float_field_rejects_non_finite(name, value):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must"):
+        GameConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", [n for n in FLOAT_FIELDS if n != "doppler"])
+def test_float_field_rejects_zero(name):
+    # doppler = 0 is a frozen channel, the one float allowed to be 0
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must"):
+        GameConfig(**{name: 0.0})
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_int_field_rejects_the_value_below_its_floor(name):
+    below = -1 if name == "seed" else 0
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must"):
+        GameConfig(**{name: below})
 
 
 def test_config_round_trips_through_dump():

@@ -83,8 +83,8 @@ def test_leader_utility_rejects_bad_inputs():
 
 
 def test_leader_best_satisfaction_examples():
-    assert leader_best_satisfaction(0.5, 0.01, math.e ** 2) == 1.0
-    assert leader_best_satisfaction(0.001, 0.01, 2.0) == 0.001
+    assert leader_best_satisfaction(0.5, math.e ** 2) == 1.0
+    assert leader_best_satisfaction(0.001, 2.0) == 0.001
 
 
 def test_leader_best_satisfaction_matches_grid_argmax():
@@ -95,7 +95,7 @@ def test_leader_best_satisfaction_matches_grid_argmax():
         x_prev = float(rng.uniform(CFG.x_floor, 1.0))
         p_bar = float(rng.uniform(1e-4, 0.2))
         t = float(rng.uniform(1.0, 100.0))
-        best = leader_best_satisfaction(x_prev, p_bar, t, CFG.x_floor)
+        best = leader_best_satisfaction(x_prev, t, CFG.x_floor)
         values = [leader_utility(float(x), p_bar, t, x_prev, CFG.kappa_c) for x in grid]
         assert abs(best - grid[int(np.argmax(values))]) <= step
 
@@ -539,7 +539,7 @@ def test_run_stage_protocol_ordering():
     prev_x = leader.x
 
     record = run_stage(leader, agents, gains, cfg)  # t = 2
-    expected_x = leader_best_satisfaction(prev_x, float(prev_powers.mean()), 2.0, cfg.x_floor)
+    expected_x = leader_best_satisfaction(prev_x, 2.0, cfg.x_floor)
     assert record.x == expected_x
     interference = link.interference_all(prev_powers, gains, cfg.noise_power)
     for i, agent in enumerate(agents):

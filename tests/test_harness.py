@@ -359,6 +359,31 @@ def test_failed_repetition_is_named():
         run_experiment(cfg, "ubeas")
 
 
+def test_pool_never_gets_more_workers_than_repetitions(monkeypatch):
+    # an inline stand-in for the process pool, so no worker process starts
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            seen.append(chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = dataclasses.replace(SMALL, stages=3, repetitions=3)
+    summary, trajectories = run_experiment(cfg, "ubeas", jobs=64)
+    assert seen == [3, 1]
+    assert len(trajectories) == 3
+
+
 def test_check_epsilon_nash_outage_follower_gains_nothing():
     # Frozen channel at seed 1109: followers in outage at p_max in a deep fade,
     # where the serious payoff is about -2e244 or -inf.  A scalar current payoff
