@@ -169,6 +169,7 @@ class GameConfig:
                 raise ConfigError(f"{f.name} must be a finite number {bound}, got {value!r}")
             if f.type == "int" and value < (0 if zero_ok else 1):
                 raise ConfigError(f"{f.name} must be >= {0 if zero_ok else 1}, got {value}")
+        assign_behavior_classes(self.num_pairs)   # the even class split every run draws
         if self.max_pair_distance > self.cell_radius:
             raise ConfigError("max_pair_distance must not exceed cell_radius")
         if self.min_link_distance >= self.max_pair_distance:

@@ -372,19 +372,11 @@ class LeaderState:
 
 @dataclass(slots=True)
 class FollowerAgent:
-    """Per-pair persistent game state, in pair order: class, target SINR and power.
-
-    solved_for holds the (x, own gain, interference) of the pair's last best
-    response and answer its (power, outage); play_stage reuses the answer
-    while the inputs repeat bit for bit, as they do once a frozen channel
-    reaches its fixed point.  An agent list serves one config.
-    """
+    """Per-pair persistent game state, in pair order: class, target SINR and power."""
 
     behavior: BehaviorClass
     target_sinr: float
     power: float
-    solved_for: tuple | None = None
-    answer: tuple[float, bool] = (0.0, False)
 
 
 # One follower's measured outcome at one stage.  A repetition is a (T, M)
@@ -469,52 +461,59 @@ def measure_followers(agents: list[FollowerAgent], x: float | None, gains: np.nd
 
 
 def play_stage(agents: list[FollowerAgent], x: float | None, reference_powers: np.ndarray,
-               gains: np.ndarray, t: int, cfg: GameConfig) -> StageRecord:
+               gains: np.ndarray, t: int, cfg: GameConfig, memo: list | None = None) -> StageRecord:
     """Best responses to the interference of reference_powers, then measurement.
 
-    x is the leader's satisfaction, or None for the leaderless game.
+    x is the leader's satisfaction, or None for the leaderless game.  memo keeps
+    x, the bytes of reference_powers and gains, and the outcomes of one agent
+    list's last two stages; the outcomes depend on nothing else, so a repeat
+    is a copy.
     """
+    powers_key = reference_powers.tobytes()
+    for key_x, key_powers, key_gains, outcomes in memo or ():
+        if key_x == x and key_powers == powers_key and key_gains == gains.tobytes():
+            outcomes = outcomes.copy()
+            for agent, power in zip(agents, outcomes.power.tolist()):
+                agent.power = power
+            return StageRecord(t, x, tuple(agent.behavior for agent in agents), outcomes)
     interference = link.interference_all(reference_powers, gains, cfg.noise_power)
     log_qx = None if x is None else _log_qx(x, cfg)
     outages = []
     for agent, own, interf in zip(agents, np.diagonal(gains).tolist(), interference.tolist()):
-        # The inputs are positive and finite, so == means the same bits.
-        inputs = (x, own, interf)
-        if inputs != agent.solved_for:
-            agent.solved_for = inputs
-            agent.answer = _best_response_with_target(
-                agent.behavior, agent.target_sinr, x, own, interf, cfg, log_qx)
-        agent.power, outage = agent.answer
+        agent.power, outage = _best_response_with_target(
+            agent.behavior, agent.target_sinr, x, own, interf, cfg, log_qx)
         outages.append(outage)
     outcomes = measure_followers(agents, x, gains, outages, cfg)
+    if memo is not None:
+        memo[:] = [(x, powers_key, gains.tobytes(), outcomes.copy())] + memo[:1]
     return StageRecord(t, x, tuple(agent.behavior for agent in agents), outcomes)
 
 
 def run_stage(leader: LeaderState, agents: list[FollowerAgent], gains: np.ndarray,
-              cfg: GameConfig) -> StageRecord:
+              cfg: GameConfig, memo: list | None = None) -> StageRecord:
     """Advance the game by one stage and return its record.
 
     Sequence: the leader moves its satisfaction to its best response (x_init
     for the opening stage); each follower best-responds to the previous-stage
     interference using the new satisfaction in its price; performance is then
-    measured with the new powers on the current gains.
+    measured with the new powers on the current gains.  memo is play_stage's.
     """
     t = leader.t + 1
     prev_powers = np.array([agent.power for agent in agents])
     x = cfg.x_init if t == 1 else leader_best_satisfaction(leader.x, float(t), cfg.x_floor)
     leader.t = t
     leader.x = x
-    return play_stage(agents, x, prev_powers, gains, t, cfg)
+    return play_stage(agents, x, prev_powers, gains, t, cfg, memo)
 
 
 def play_repetition(cfg: GameConfig, repetition: int, behaviors: list[BehaviorClass] | None,
                     stage: Callable[..., StageRecord]) -> Trajectory:
-    """Simulate one repetition, calling stage(agents, gains, t, powers_rng) at t = 1..T.
+    """Simulate one repetition, calling stage(agents, gains, t, powers_rng, memo) at t = 1..T.
 
     Topology, fading and the uniform-random initial powers are drawn from
     independent substreams of (seed, repetition), so both games with the same
     seed see the identical channel; the powers substream is left to the stage
-    policy after the initial draw.
+    policy after the initial draw.  memo is the agents' play_stage memo.
     """
     rngs = rng_streams(cfg.seed, repetition)
     topology = generate_topology(cfg, rngs.topology, behaviors)
@@ -526,10 +525,12 @@ def play_repetition(cfg: GameConfig, repetition: int, behaviors: list[BehaviorCl
     pl_amp = path_loss_amplitudes(topology, cfg)
 
     outcomes = np.recarray((cfg.stages, m), RECORD_DTYPE)
-    xs = []
+    xs, memo = [], []
     for t in range(1, cfg.stages + 1):
-        gains = gain_matrix(pl_amp, fading.advance())
-        record = stage(agents, gains, t, rngs.powers)
+        # At zero Doppler every oscillator turns by exactly 1+0j, so stage 1's gains hold.
+        if t == 1 or cfg.doppler > 0.0:
+            gains = gain_matrix(pl_amp, fading.advance())
+        record = stage(agents, gains, t, rngs.powers, memo)
         outcomes[t - 1] = record.outcomes
         xs.append(record.x)
     x = None if xs[0] is None else np.array(xs)
@@ -540,5 +541,5 @@ def run_game(cfg: GameConfig, repetition: int = 0,
              behaviors: list[BehaviorClass] | None = None) -> Trajectory:
     """Simulate one full repetition of the Stackelberg game."""
     leader = LeaderState(x=cfg.x_init)
-    return play_repetition(cfg, repetition, behaviors,
-                           lambda agents, gains, _t, _rng: run_stage(leader, agents, gains, cfg))
+    return play_repetition(cfg, repetition, behaviors, lambda agents, gains, _t, _rng, memo:
+                           run_stage(leader, agents, gains, cfg, memo))

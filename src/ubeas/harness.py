@@ -83,9 +83,10 @@ def _x_profile_ok(x: np.ndarray) -> bool:
 
 
 def _dbm(powers: np.ndarray) -> np.ndarray:
-    """watts_to_dbm of every power, through math.log10 as the scalar form computes it."""
-    logs = np.fromiter(map(math.log10, (powers * 1e3).ravel().tolist()), float, powers.size)
-    return 10.0 * logs.reshape(powers.shape)
+    """watts_to_dbm of every power through math.log10, once per distinct bit pattern."""
+    bits, index = np.unique(powers.view(np.int64), return_inverse=True)
+    logs = np.fromiter(map(math.log10, (bits.view(float) * 1e3).tolist()), float, bits.size)
+    return 10.0 * logs[index].reshape(powers.shape)
 
 
 def _total(values: np.ndarray) -> float:
@@ -316,11 +317,11 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20) -> Pareto
     powers = trajectory.outcomes.power[-1].copy()
     agents = [FollowerAgent(b, class_target_sinr(b, cfg), p)
               for b, p in zip(trajectory.behaviors, powers.tolist())]
-    replay_stages = 0
+    replay_stages, memo = 0, []
     while replay_stages < window:
         replay_stages += 1
         t = len(trajectory.outcomes) + replay_stages
-        new_powers = play_stage(agents, x, powers, gains, t, cfg).powers
+        new_powers = play_stage(agents, x, powers, gains, t, cfg, memo).powers
         shift = float(np.max(np.abs(new_powers - powers)))
         powers = new_powers
         if shift < PARETO_EPSILON:
@@ -351,8 +352,10 @@ def _fmt(value) -> str:
 
 
 def _cells(values: np.ndarray) -> list[str]:
-    """_fmt of every float of an array, in C order."""
-    return ["" if v != v else repr(v) for v in values.ravel().tolist()]
+    """_fmt of every float of an array, in C order, once per distinct bit pattern."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(["" if v != v else repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return texts[index.ravel()].tolist()
 
 
 TRAJECTORY_HEADER = "rep,t,pair,class,x,p_dbm,sinr,pdr,utility,price,outage"

@@ -45,10 +45,10 @@ def planning_powers(agents: list[FollowerAgent], t: int, rng: np.random.Generato
     return rng.uniform(cfg.p_min, cfg.p_max, size=len(agents))
 
 
-def run_npc_stage(agents: list[FollowerAgent], planning: np.ndarray,
-                  gains: np.ndarray, t: int, cfg: GameConfig) -> StageRecord:
-    """One baseline stage: maximize each price-free utility, then measure."""
-    return play_stage(agents, None, planning, gains, t, cfg)
+def run_npc_stage(agents: list[FollowerAgent], planning: np.ndarray, gains: np.ndarray, t: int,
+                  cfg: GameConfig, memo: list | None = None) -> StageRecord:
+    """One baseline stage: maximize each price-free utility, then measure; memo is play_stage's."""
+    return play_stage(agents, None, planning, gains, t, cfg, memo)
 
 
 def run_npc_game(cfg: GameConfig, repetition: int = 0,
@@ -60,5 +60,5 @@ def run_npc_game(cfg: GameConfig, repetition: int = 0,
     """
     return play_repetition(
         cfg, repetition, behaviors,
-        lambda agents, gains, t, rng: run_npc_stage(
-            agents, planning_powers(agents, t, rng, cfg), gains, t, cfg))
+        lambda agents, gains, t, rng, memo: run_npc_stage(
+            agents, planning_powers(agents, t, rng, cfg), gains, t, cfg, memo))

@@ -117,7 +117,7 @@ def test_gain_matrix_without_fading_matches_path_loss():
 
 
 def test_gain_matrix_symmetric_layout():
-    cfg = GameConfig(num_pairs=2)
+    cfg = GameConfig()
     topo = generate_topology(cfg, rng_streams(1, 0).topology, [BehaviorClass.CASUAL] * 2)
     # square layout: tx on the left column, rx on the right, equal spacing
     object.__setattr__(topo, "tx_positions", np.array([[0.0, 0.0], [0.0, 30.0]]))

@@ -168,6 +168,7 @@ def test_no_arguments_is_usage_error(capsys):
 
 @pytest.mark.parametrize("config_text, extra_args", [
     ("num_pairs = 4\n", []),
+    ("num_pairs = 1\n", []),
     ("cell_radius = 2\nmax_pair_distance = 2\nmin_link_distance = 1.9\nnum_pairs = 12\n", []),
     ("num_pairs = 6\n", ["--stages", "0"]),
     ("num_pairs = 6\n", ["--stages", "0", "--game", "npc"]),
@@ -175,7 +176,7 @@ def test_no_arguments_is_usage_error(capsys):
     ("num_pairs = 6\ndoppler = nan\n", []),
     ("num_pairs = 6\nw = nan\n", []),
     ("num_pairs = 6\np_max = nan\n", []),
-], ids=["pairs-not-multiple-of-3", "crowded-cell", "zero-stages", "zero-stages-npc",
+], ids=["pairs-not-multiple-of-3", "one-pair", "crowded-cell", "zero-stages", "zero-stages-npc",
         "tolerance-below-float-spacing", "doppler-nan", "w-nan", "p_max-nan"])
 def test_config_that_cannot_run_exits_one(tmp_path, capsys, config_text, extra_args):
     cfg = tmp_path / "cell.cfg"

@@ -69,12 +69,12 @@ def test_load_config_empty_gives_defaults():
 
 def test_load_config_overrides_and_comments():
     cfg = load_config("""
-    # two-pair toy cell
-    num_pairs = 2
+    # three-pair toy cell
+    num_pairs = 3
     seed = 99
     priority_mode = on
     """)
-    assert cfg.num_pairs == 2
+    assert cfg.num_pairs == 3
     assert cfg.seed == 99
     assert cfg.priority_mode is True
     assert cfg.cell_radius == 500.0
@@ -97,6 +97,8 @@ def test_load_config_rejects_bad_values():
         load_config("priority_mode = maybe")
     with pytest.raises(ConfigError, match="seed"):
         load_config("seed = -1")
+    with pytest.raises(ConfigError, match="multiple of 3"):
+        load_config("num_pairs = 4")
 
 
 def test_validation_names_price_domain_invariant():

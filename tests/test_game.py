@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubeas import game, link, npc
-from ubeas.config import BehaviorClass, ConfigError, GameConfig
+from ubeas import game, harness, link, npc
+from ubeas.channel import FadingState
+from ubeas.config import BehaviorClass, ConfigError, GameConfig, rng_streams
 from ubeas.game import (
     RECORD_DTYPE,
     FollowerAgent,
@@ -34,6 +35,7 @@ from ubeas.game import (
     run_stage,
     satisfaction_price,
 )
+from ubeas.harness import check_pareto_convergence
 from ubeas.link import MODULATIONS
 from ubeas.npc import run_npc_game
 
@@ -468,7 +470,8 @@ def test_best_response_matches_grid_argmax():
 # ---------------------------------------------------------------------------
 
 def frozen_single_pair_cfg():
-    return GameConfig(num_pairs=1, doppler=0.0, stages=12)
+    # run with a one-pair class list, which overrides num_pairs
+    return GameConfig(doppler=0.0, stages=12)
 
 
 def test_single_pair_settles_at_required_power():
@@ -581,11 +584,11 @@ def test_stage_class_means_recompute_from_members():
 
 
 # ---------------------------------------------------------------------------
-# Per-pair reuse of the last best response.
+# The stage memo: a stage whose inputs repeat one of the last two is a copy.
 # ---------------------------------------------------------------------------
 
-def solve_every_pair(agents, x, reference_powers, gains, t, cfg):
-    """play_stage without the reuse: every pair solves at every stage."""
+def solve_every_pair(agents, x, reference_powers, gains, t, cfg, memo=None):
+    """play_stage without the memo: every pair solves and is measured at every stage."""
     interference = link.interference_all(reference_powers, gains, cfg.noise_power)
     log_qx = None if x is None else _log_qx(x, cfg)
     outages = []
@@ -598,36 +601,81 @@ def solve_every_pair(agents, x, reference_powers, gains, t, cfg):
     return StageRecord(t, x, tuple(agent.behavior for agent in agents), outcomes)
 
 
-def count_solves(monkeypatch) -> list:
-    """Record every maximize_concave call of the best response, as the bench tracer does."""
+def count_calls(monkeypatch, owner=game, name="maximize_concave") -> list:
+    """Record every call of owner.name, as the bench tracer does."""
     calls = []
-    solve = game.maximize_concave
+    call = getattr(owner, name)
 
     def counted(*args):
         calls.append(args)
-        return solve(*args)
+        return call(*args)
 
-    monkeypatch.setattr(game, "maximize_concave", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 RUNS = {"ubeas": run_game, "npc": run_npc_game}
 
 
+def run_without_memo(monkeypatch, name, cfg):
+    with monkeypatch.context() as patch:
+        patch.setattr(game, "play_stage", solve_every_pair)
+        patch.setattr(npc, "play_stage", solve_every_pair)
+        return RUNS[name](cfg)
+
+
+def assert_same_bits(got, want):
+    for field in RECORD_DTYPE.names:
+        assert got.outcomes[field].tobytes() == want.outcomes[field].tobytes(), field
+    assert (got.x is None and want.x is None) or got.x.tobytes() == want.x.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_reuse_is_exact_and_skips_solves_on_a_frozen_channel(monkeypatch, name):
     cfg = GameConfig(num_pairs=12, stages=200, doppler=0.0, npc_rerandomize=False)
-    calls = count_solves(monkeypatch)
+    calls = count_calls(monkeypatch)
     reused = RUNS[name](cfg)
     reused_solves = len(calls)
     calls.clear()
-    monkeypatch.setattr(game, "play_stage", solve_every_pair)
-    monkeypatch.setattr(npc, "play_stage", solve_every_pair)
-    every = RUNS[name](cfg)
+    every = run_without_memo(monkeypatch, name, cfg)
     assert 0 < 2 * reused_solves <= len(calls)
-    for field in RECORD_DTYPE.names:
-        assert reused.outcomes[field].tobytes() == every.outcomes[field].tobytes(), field
-    assert (reused.x is None and every.x is None) or reused.x.tobytes() == every.x.tobytes()
+    assert_same_bits(reused, every)
+
+
+@pytest.mark.parametrize("seed", [1007, 1010])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_memo_copies_period_two_cycles_bit_for_bit(monkeypatch, name, seed):
+    # Criterion 9's seeds 1007 and 1010 end in a period-2 cycle of one-ulp
+    # flips, which only the memo's second entry catches.
+    cfg = GameConfig(doppler=0.0, seed=seed, repetitions=1, stages=600, npc_rerandomize=False)
+    measured = count_calls(monkeypatch, name="measure_followers")
+    advanced = count_calls(monkeypatch, FadingState, "advance")
+    memo = RUNS[name](cfg)
+    assert len(advanced) == 1   # a frozen channel is drawn once
+    assert len(measured) < 50
+    every = run_without_memo(monkeypatch, name, cfg)
+    assert_same_bits(memo, every)
+    powers = every.outcomes.power
+    assert (powers[-1] != powers[-2]).any() and (powers[-1] == powers[-3]).all()
+
+
+@pytest.mark.parametrize("name, fields", [("ubeas", {}), ("npc", {}), ("npc", {"doppler": 0.0})],
+                         ids=["ubeas-fading", "npc-fading", "npc-frozen"])
+def test_memo_never_hits_on_a_fading_channel_or_rerandomized_npc(monkeypatch, name, fields):
+    cfg = dataclasses.replace(GameConfig(num_pairs=12, stages=60), **fields)
+    assert cfg.npc_rerandomize
+    measured = count_calls(monkeypatch, name="measure_followers")
+    advanced = count_calls(monkeypatch, FadingState, "advance")
+    played = count_calls(monkeypatch, npc, "play_stage")
+    memo = RUNS[name](cfg)
+    assert len(measured) == cfg.stages
+    assert len(advanced) == (1 if cfg.doppler == 0.0 else cfg.stages)
+    assert_same_bits(memo, run_without_memo(monkeypatch, name, cfg))
+    if name == "npc":
+        # stage 1 answers the initial powers, every later stage a fresh draw
+        rng = rng_streams(cfg.seed, 0).powers
+        stream = [rng.uniform(cfg.p_min, cfg.p_max, size=cfg.num_pairs) for _ in range(cfg.stages)]
+        assert [args[2].tobytes() for args in played] == [draw.tobytes() for draw in stream]
 
 
 def test_reuse_solves_again_when_only_satisfaction_changes():
@@ -638,21 +686,49 @@ def test_reuse_solves_again_when_only_satisfaction_changes():
     gains[np.diag_indices(3)] = 3e-11
     agents = [FollowerAgent(b, class_target_sinr(b, cfg), cfg.p_min) for b in BehaviorClass]
     reference = np.full(3, cfg.p_min)
-    powers = []
+    powers, memo = [], []
     for x in (0.001, 1.0):
-        record = game.play_stage(agents, x, reference, gains, 1, cfg)
+        record = game.play_stage(agents, x, reference, gains, 1, cfg, memo)
         fresh = [FollowerAgent(b, class_target_sinr(b, cfg), cfg.p_min) for b in BehaviorClass]
         expected = solve_every_pair(fresh, x, reference, gains, 1, cfg)
         assert record.outcomes.power.tobytes() == expected.outcomes.power.tobytes()
         powers.append(record.outcomes.power.tolist())
     assert powers[0] != powers[1]
+    assert [key[0] for key in memo] == [1.0, 0.001]
+
+
+def test_memo_hit_restores_every_agent_power():
+    cfg = GameConfig(num_pairs=3)
+    gains = np.full((3, 3), 1e-12)
+    gains[np.diag_indices(3)] = 3e-11
+    agents = [FollowerAgent(b, class_target_sinr(b, cfg), cfg.p_min) for b in BehaviorClass]
+    reference, memo = np.full(3, cfg.p_min), []
+    first = game.play_stage(agents, 1.0, reference, gains, 1, cfg, memo)
+    for agent in agents:
+        agent.power = cfg.p_max
+    second = game.play_stage(agents, 1.0, reference, gains, 2, cfg, memo)
+    assert len(memo) == 1 and second.t == 2
+    for field in RECORD_DTYPE.names:   # the aligned dtype's padding bytes are not zeroed
+        assert second.outcomes[field].tobytes() == first.outcomes[field].tobytes(), field
+    assert second.outcomes is not memo[0][3]
+    assert [agent.power for agent in agents] == first.outcomes.power.tolist()
+
+
+def test_pareto_replay_is_unchanged_by_the_memo_on_criterion_9_seeds(monkeypatch):
+    for k in range(20):
+        cfg = GameConfig(doppler=0.0, seed=1007 + k, repetitions=1, stages=600)
+        traj = run_game(cfg)
+        report = check_pareto_convergence(traj)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "play_stage", solve_every_pair)
+            assert check_pareto_convergence(traj) == report, cfg.seed
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_fading_channel_solves_every_uncapped_non_casual_pair(monkeypatch, name):
     cfg = GameConfig(num_pairs=12, stages=60)
     assert cfg.doppler > 0.0
-    calls = count_solves(monkeypatch)
+    calls = count_calls(monkeypatch)
     traj = RUNS[name](cfg)
     solved = np.array([b is not BehaviorClass.CASUAL for b in traj.behaviors])
     assert len(calls) == np.count_nonzero(solved & ~traj.outcomes.outage)

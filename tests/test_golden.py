@@ -3,8 +3,10 @@
 The digests were recorded before the two games were merged onto one stage
 engine; they pin the paths the benchmark's default-config digests do not
 cover: the NPC game, priority mode and the iterated (non-rerandomized) NPC
-baseline on a frozen channel.  A change that alters any CSV byte must state
-the bound on the difference and re-record the digests here.
+baseline on a frozen channel.  The ubeas-frozen digests were recorded before
+repeated stages became copies; its 40 stages run 27 past the fixed point in
+every repetition.  A change that alters any CSV byte must state the bound on
+the difference and re-record the digests here.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ CASES = {
     "npc-priority-off": ("npc", "priority_mode = false\n"),
     "npc-priority-on": ("npc", "priority_mode = true\n"),
     "npc-iterated-frozen": ("npc", "npc_rerandomize = false\ndoppler = 0\n"),
+    "ubeas-frozen": ("ubeas", "doppler = 0\n", "--stages", "40"),
 }
 
 DIGESTS = {
@@ -65,22 +68,30 @@ DIGESTS = {
         "summary.csv": "8eb49bd4405c0cb46b60c9b89109fa450ccbb49c219a32bcee4fb5ed83edbee2",
         "trajectory.csv": "edc5997209b2a0663e54287d9e31dbfbc761f2c8eaa1facb3df5b07f64a7c8db",
     },
+    "ubeas-frozen": {
+        "class_pdr.csv": "ca2d323a37be28646a15bef87acfef79397f13331d0628f53e0fcb47339f012d",
+        "class_power.csv": "2c8b918c17ce6de4f2a98cba83bc79027b6371a83241527e462a108ee498de88",
+        "long.csv": "8af6bc945d4e843161ee3f5cdd7d1e686f5e45e6351c12ac13c452ee535c5ca1",
+        "satisfaction.csv": "29f4cdd6618164161f0d621e6e5a3d4ff331d253b0c3aad4790c99fbd7aae7e8",
+        "summary.csv": "192e154fb21c271571171aa12e54dee34beddc8c8c60e4a35552abc16d927ad6",
+        "trajectory.csv": "b9294d1bcf5cbde58f999ee06867655155cc164c8523558f04429853305d2de7",
+    },
 }
 
 
-def run_digests(tmp_path, game: str, extra: str) -> dict[str, str]:
+def run_digests(tmp_path, game: str, extra: str, *args: str) -> dict[str, str]:
     cfg = tmp_path / "cell.cfg"
     cfg.write_text(BASE + extra, encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--game", game, "--out", str(out)]) == 0
+    assert main(["run", "--config", str(cfg), "--game", game, "--out", str(out), *args]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.glob("*.csv"))}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_csv_digests_unchanged(case, tmp_path, capsys):
-    game, extra = CASES[case]
-    assert run_digests(tmp_path, game, extra) == DIGESTS[case]
+    game, extra, *args = CASES[case]
+    assert run_digests(tmp_path, game, extra, *args) == DIGESTS[case]
 
 
 # topology.csv of repetition 0 for the ubeas-priority-off case, recorded

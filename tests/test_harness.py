@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubeas import harness, link
 from ubeas.config import BehaviorClass, ConfigError, GameConfig, watts_to_dbm
@@ -256,7 +258,7 @@ def test_check_epsilon_nash_matches_scalar_oracle(game, perturbation):
 
 
 def test_check_epsilon_nash_single_pair():
-    cfg = GameConfig(num_pairs=1, doppler=0.0, stages=30)
+    cfg = GameConfig(doppler=0.0, stages=30)   # the one-pair class list overrides num_pairs
     traj = run_game(cfg, behaviors=[BehaviorClass.CASUAL])
     report = check_epsilon_nash(traj.records[-1], traj.final_gains, cfg,
                                 epsilon=1e-6, grid_points=4000)
@@ -353,8 +355,9 @@ def test_outage_rate_bounds():
 
 
 def test_failed_repetition_is_named():
-    # 4 pairs cannot be split evenly across the three classes
-    cfg = dataclasses.replace(SMALL, num_pairs=4)
+    # no receiver fits 1.9 m from every transmitter in a 2 m cell
+    cfg = dataclasses.replace(SMALL, cell_radius=2.0, max_pair_distance=2.0,
+                              min_link_distance=1.9, num_pairs=12)
     with pytest.raises(ConfigError, match="repetition 0"):
         run_experiment(cfg, "ubeas")
 
@@ -559,6 +562,29 @@ def test_trajectory_csv_equals_row_by_row_writer(game, tmp_path):
     assert 2 * (WRITE_ROWS // 24) < 150 < 3 * (WRITE_ROWS // 24)   # three write blocks
     emit_outputs(summarize(trajectories), trajectories, tmp_path)
     assert (tmp_path / "trajectory.csv").read_bytes() == scalar_trajectory_csv(trajectories)
+
+
+# Values every draw may repeat: both zeros, NaN, infinities, the smallest and
+# largest subnormals, and powers the game pins at p_min and p_max.
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.225073858507201e-308,
+                  1e-3, 0.1995262314968879]
+
+
+@settings(max_examples=200, deadline=None)
+@given(extra=st.lists(st.floats(-1e300, 1e300, allow_subnormal=True), max_size=6),
+       picks=st.lists(st.integers(0, 12), max_size=60), cols=st.integers(1, 4))
+def test_distinct_value_formatting_equals_the_per_value_loop(extra, picks, cols):
+    pool = SPECIAL_FLOATS + extra
+    values = [pool[i % len(pool)] for i in picks]
+    rows = len(values) // cols
+    # fields of an aligned record array are strided views, as in trajectory.csv
+    block = np.recarray((rows, cols), RECORD_DTYPE)
+    block.utility = np.array(values[:rows * cols], dtype=float).reshape(rows, cols)
+    block.power = np.where(block.utility != 0.0, np.abs(block.utility), 1e-3)
+    for array in (block.utility, np.array(values, dtype=float)):
+        assert harness._cells(array) == ["" if v != v else repr(v) for v in array.ravel().tolist()]
+    want = [10.0 * math.log10(p * 1e3) for p in block.power.ravel().tolist()]
+    assert harness._dbm(block.power).tobytes() == np.array(want).reshape(rows, cols).tobytes()
 
 
 def test_emit_outputs_hand_built_edge_cases(tmp_path):
