@@ -14,7 +14,6 @@ from .config import (
 )
 from .channel import CellTopology, FadingState, gain_matrix, generate_topology
 from .game import (
-    LeaderState,
     StageRecord,
     Trajectory,
     follower_best_response,

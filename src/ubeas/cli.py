@@ -116,6 +116,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _cmd_fit(args) -> int:
     try:
         samples = []
@@ -129,7 +137,8 @@ def _cmd_fit(args) -> int:
                     sinr, pdr = map(float, row)
                     samples.append((sinr, pdr))
                 except ValueError:
-                    if not header_allowed:   # only the first non-blank row may be a header
+                    # Only the first non-blank row may be a header, and none of its cells is a number.
+                    if not header_allowed or any(map(_is_number, row)):
                         raise link.FitError(f"line {rows.line_num}: expected two numbers "
                                             f"sinr,pdr, got {','.join(row)!r}") from None
                 header_allowed = False

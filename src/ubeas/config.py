@@ -170,6 +170,10 @@ class GameConfig:
             if f.type == "int" and value < (0 if zero_ok else 1):
                 raise ConfigError(f"{f.name} must be >= {0 if zero_ok else 1}, got {value}")
         assign_behavior_classes(self.num_pairs)   # the even class split every run draws
+        if not math.isfinite(8.0 * self.cell_radius * self.cell_radius):
+            # Both coordinates of a tx-rx separation lie within 2 * cell_radius.
+            raise ConfigError(f"cell_radius = {self.cell_radius!r} m is too large: "
+                              "squared tx-rx distances overflow")
         if self.max_pair_distance > self.cell_radius:
             raise ConfigError("max_pair_distance must not exceed cell_radius")
         if self.min_link_distance >= self.max_pair_distance:

@@ -29,8 +29,10 @@ the feasible set [max(p_min, p_req), p_max] with p_req = g_bar * I / g_own;
 if even p_max cannot reach the target the follower transmits at p_max and is
 flagged as in outage.
 
-The NPC baseline (``npc``) is the same follower game with no leader and no
-price (x is None); both games run on play_stage and play_repetition.
+A repetition's state is x and the (M,) power array: play_stage maps them and
+the gains to the stage's (M,) outcome row.  The NPC baseline (``npc``) is the
+same follower game with no leader and no price (x is None); both games run on
+play_stage and play_repetition.
 """
 
 from __future__ import annotations
@@ -197,18 +199,12 @@ def _payoff_on_grid(behavior: BehaviorClass, x: float | None, p: np.ndarray, own
     return value - cfg.delta / (log_qx * np.log(yz))
 
 
-def payoff_gradient(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
-                    interference: float, target: float, cfg: GameConfig) -> float:
-    """d(payoff)/dp, using d(gamma)/dp = gamma / p; the price adds -dD/dp unless x is None."""
-    log_qx = None if x is None else _log_qx(x, cfg)
-    return _gradient_fn(behavior, target, x, own_gain, interference, cfg, log_qx)(p)
-
-
 def _gradient_fn(behavior: BehaviorClass, target: float, x: float | None, own_gain: float,
                  interference: float, cfg: GameConfig,
                  log_qx: float | None) -> Callable[[float], float]:
-    """payoff_gradient of one pair as a function of p; log_qx is _log_qx(x, cfg).
+    """d(payoff)/dp of one pair as a function of p; log_qx is _log_qx(x, cfg).
 
+    It uses d(gamma)/dp = gamma / p; the price adds -dD/dp unless x is None.
     The constants are folded only where they open a left-associative chain,
     so every value keeps the bits of the unfolded expression.
     """
@@ -266,7 +262,8 @@ def follower_utility_gradient(behavior: BehaviorClass, x: float | None, p: float
     if interference <= 0.0:
         raise ValueError(f"interference plus noise must be positive, got {interference}")
     target = class_target_sinr(behavior, cfg)
-    return payoff_gradient(behavior, x, p, own_gain, interference, target, cfg)
+    log_qx = None if x is None else _log_qx(x, cfg)
+    return _gradient_fn(behavior, target, x, own_gain, interference, cfg, log_qx)(p)
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +359,6 @@ def _best_response_with_target(behavior: BehaviorClass, target: float, x: float 
 # Stage protocol and trajectories.
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class LeaderState:
-    """Base-station satisfaction and the stage it was set at."""
-
-    x: float
-    t: int = 0
-
-
-@dataclass(slots=True)
-class FollowerAgent:
-    """Per-pair persistent game state, in pair order: class, target SINR and power."""
-
-    behavior: BehaviorClass
-    target_sinr: float
-    power: float
-
-
 # One follower's measured outcome at one stage.  A repetition is a (T, M)
 # record array of it; a stage is one (M,) row.
 RECORD_DTYPE = np.dtype([("power", float), ("sinr", float), ("pdr", float),
@@ -387,16 +367,12 @@ RECORD_DTYPE = np.dtype([("power", float), ("sinr", float), ("pdr", float),
 
 @dataclass(frozen=True, eq=False)
 class StageRecord:
-    """Leader satisfaction plus every follower's outcome at one stage."""
+    """One stage of a Trajectory, as Trajectory.records builds it for check_epsilon_nash."""
 
     t: int
     x: float | None
     behaviors: tuple[BehaviorClass, ...]
     outcomes: np.recarray
-
-    @property
-    def powers(self) -> np.ndarray:
-        return self.outcomes.power.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,108 +414,103 @@ def class_means(record: StageRecord) -> tuple[dict, dict]:
     return power_dbm, mean_pdr
 
 
-def measure_followers(agents: list[FollowerAgent], x: float | None, gains: np.ndarray,
-                      outages: list[bool], cfg: GameConfig) -> np.recarray:
+def measure_followers(behaviors: tuple[BehaviorClass, ...], targets: list[float],
+                      x: float | None, powers: np.ndarray, gains: np.ndarray,
+                      outages: tuple[bool, ...], cfg: GameConfig) -> np.recarray:
     """SINR, PDR, utility and price at the powers just selected, as an (M,) record array."""
-    powers = np.array([agent.power for agent in agents])
     interference = link.interference_all(powers, gains, cfg.noise_power)
     sinrs = powers * np.diagonal(gains) / interference
     mod = cfg.modulation_params
     pdrs, utilities, prices = [], [], []
-    for agent, gamma, own, interf in zip(agents, sinrs.tolist(), np.diagonal(gains).tolist(),
-                                         interference.tolist()):
+    for behavior, target, p, gamma, own, interf in zip(
+            behaviors, targets, powers.tolist(), sinrs.tolist(), np.diagonal(gains).tolist(),
+            interference.tolist()):
         pdrs.append(link.pdr_from_sinr(gamma, mod))
-        price = 0.0 if x is None else satisfaction_price(x, agent.power, cfg)
+        price = 0.0 if x is None else satisfaction_price(x, p, cfg)
         prices.append(price)
         # The same subtraction payoff makes, with the price computed once.
-        utilities.append(payoff(agent.behavior, None, agent.power, own, interf,
-                                agent.target_sinr, cfg) - price)
-    record = np.recarray(len(agents), RECORD_DTYPE)
+        utilities.append(payoff(behavior, None, p, own, interf, target, cfg) - price)
+    record = np.recarray(len(behaviors), RECORD_DTYPE)
     for name, column in zip(RECORD_DTYPE.names, (powers, sinrs, pdrs, utilities, prices, outages)):
         record[name] = column
     return record
 
 
-def play_stage(agents: list[FollowerAgent], x: float | None, reference_powers: np.ndarray,
-               gains: np.ndarray, t: int, cfg: GameConfig, memo: list | None = None) -> StageRecord:
-    """Best responses to the interference of reference_powers, then measurement.
+def play_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: float | None,
+               reference_powers: np.ndarray, gains: np.ndarray, cfg: GameConfig,
+               memo: list | None = None) -> np.recarray:
+    """Best responses to the interference of reference_powers, then the (M,) outcome row.
 
     x is the leader's satisfaction, or None for the leaderless game.  memo keeps
-    x, the bytes of reference_powers and gains, and the outcomes of one agent
+    x, the bytes of reference_powers and gains, and the outcomes of one pair
     list's last two stages; the outcomes depend on nothing else, so a repeat
     is a copy.
     """
     powers_key = reference_powers.tobytes()
     for key_x, key_powers, key_gains, outcomes in memo or ():
         if key_x == x and key_powers == powers_key and key_gains == gains.tobytes():
-            outcomes = outcomes.copy()
-            for agent, power in zip(agents, outcomes.power.tolist()):
-                agent.power = power
-            return StageRecord(t, x, tuple(agent.behavior for agent in agents), outcomes)
+            return outcomes.copy()
     interference = link.interference_all(reference_powers, gains, cfg.noise_power)
     log_qx = None if x is None else _log_qx(x, cfg)
-    outages = []
-    for agent, own, interf in zip(agents, np.diagonal(gains).tolist(), interference.tolist()):
-        agent.power, outage = _best_response_with_target(
-            agent.behavior, agent.target_sinr, x, own, interf, cfg, log_qx)
-        outages.append(outage)
-    outcomes = measure_followers(agents, x, gains, outages, cfg)
+    powers, outages = zip(*(
+        _best_response_with_target(behavior, target, x, own, interf, cfg, log_qx)
+        for behavior, target, own, interf in zip(behaviors, targets, np.diagonal(gains).tolist(),
+                                                 interference.tolist())))
+    outcomes = measure_followers(behaviors, targets, x, np.array(powers), gains, outages, cfg)
     if memo is not None:
         memo[:] = [(x, powers_key, gains.tobytes(), outcomes.copy())] + memo[:1]
-    return StageRecord(t, x, tuple(agent.behavior for agent in agents), outcomes)
+    return outcomes
 
 
-def run_stage(leader: LeaderState, agents: list[FollowerAgent], gains: np.ndarray,
-              cfg: GameConfig, memo: list | None = None) -> StageRecord:
-    """Advance the game by one stage and return its record.
+def run_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x_prev: float | None,
+              prev_powers: np.ndarray, gains: np.ndarray, t: int, cfg: GameConfig,
+              memo: list | None = None) -> tuple[float, np.recarray]:
+    """Stage t of the game: the leader's satisfaction and the outcome row.
 
-    Sequence: the leader moves its satisfaction to its best response (x_init
-    for the opening stage); each follower best-responds to the previous-stage
-    interference using the new satisfaction in its price; performance is then
-    measured with the new powers on the current gains.  memo is play_stage's.
+    The leader best-responds to x_prev (x_init at t = 1); each follower then
+    best-responds to the interference of prev_powers with the new satisfaction
+    in its price and is measured on the current gains.  memo is play_stage's.
     """
-    t = leader.t + 1
-    prev_powers = np.array([agent.power for agent in agents])
-    x = cfg.x_init if t == 1 else leader_best_satisfaction(leader.x, float(t), cfg.x_floor)
-    leader.t = t
-    leader.x = x
-    return play_stage(agents, x, prev_powers, gains, t, cfg, memo)
+    x = cfg.x_init if t == 1 else leader_best_satisfaction(x_prev, float(t), cfg.x_floor)
+    return x, play_stage(behaviors, targets, x, prev_powers, gains, cfg, memo)
 
 
 def play_repetition(cfg: GameConfig, repetition: int, behaviors: list[BehaviorClass] | None,
-                    stage: Callable[..., StageRecord]) -> Trajectory:
-    """Simulate one repetition, calling stage(agents, gains, t, powers_rng, memo) at t = 1..T.
+                    stage: Callable[..., tuple[float | None, np.recarray]]) -> Trajectory:
+    """Simulate one repetition: (x, row) = stage(behaviors, targets, x, powers, gains, t,
+    powers_rng, memo) at t = 1..T, each stage answering the last one's x and powers.
 
     Topology, fading and the uniform-random initial powers are drawn from
     independent substreams of (seed, repetition), so both games with the same
     seed see the identical channel; the powers substream is left to the stage
-    policy after the initial draw.  memo is the agents' play_stage memo.
+    policy after the initial draw.  memo is the repetition's play_stage memo.
     """
     rngs = rng_streams(cfg.seed, repetition)
     topology = generate_topology(cfg, rngs.topology, behaviors)
     m = topology.num_pairs
     fading = FadingState((m, m), cfg.jakes_oscillators, cfg.doppler, rngs.fading)
-    initial = rngs.powers.uniform(cfg.p_min, cfg.p_max, size=m)
-    agents = [FollowerAgent(b, class_target_sinr(b, cfg), p)
-              for b, p in zip(topology.behaviors, initial.tolist())]
+    powers = rngs.powers.uniform(cfg.p_min, cfg.p_max, size=m)
+    targets = [class_target_sinr(b, cfg) for b in topology.behaviors]
     pl_amp = path_loss_amplitudes(topology, cfg)
 
     outcomes = np.recarray((cfg.stages, m), RECORD_DTYPE)
-    xs, memo = [], []
+    x, xs, memo = None, [], []
     for t in range(1, cfg.stages + 1):
         # At zero Doppler every oscillator turns by exactly 1+0j, so stage 1's gains hold.
         if t == 1 or cfg.doppler > 0.0:
             gains = gain_matrix(pl_amp, fading.advance())
-        record = stage(agents, gains, t, rngs.powers, memo)
-        outcomes[t - 1] = record.outcomes
-        xs.append(record.x)
-    x = None if xs[0] is None else np.array(xs)
-    return Trajectory(outcomes, x, record.behaviors, topology, gains, cfg)
+        x, row = stage(topology.behaviors, targets, x, powers, gains, t, rngs.powers, memo)
+        outcomes[t - 1] = row
+        xs.append(x)
+        powers = row.power.copy()
+    return Trajectory(outcomes, None if x is None else np.array(xs), topology.behaviors,
+                      topology, gains, cfg)
 
 
 def run_game(cfg: GameConfig, repetition: int = 0,
              behaviors: list[BehaviorClass] | None = None) -> Trajectory:
     """Simulate one full repetition of the Stackelberg game."""
-    leader = LeaderState(x=cfg.x_init)
-    return play_repetition(cfg, repetition, behaviors, lambda agents, gains, _t, _rng, memo:
-                           run_stage(leader, agents, gains, cfg, memo))
+    return play_repetition(
+        cfg, repetition, behaviors,
+        lambda pairs, targets, x, powers, gains, t, _rng, memo: run_stage(
+            pairs, targets, x, powers, gains, t, cfg, memo))

@@ -19,7 +19,6 @@ import numpy as np
 from .channel import CellTopology
 from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig
 from .game import (
-    FollowerAgent,
     StageRecord,
     Trajectory,
     _payoff_on_grid,
@@ -252,7 +251,7 @@ def check_epsilon_nash(record: StageRecord, gains: np.ndarray, cfg: GameConfig,
     Passes iff no follower can gain more than epsilon and the recorded
     satisfaction maximizes the leader utility on an equally fine grid.
     """
-    powers = record.powers
+    powers = record.outcomes.power.copy()
     deviation_gains = []
     for lo, current, on_grid in _follower_audits(record.behaviors, record.x, powers, gains, cfg):
         grid = np.linspace(lo, cfg.p_max, grid_points) if cfg.p_max > lo else np.array([lo])
@@ -312,22 +311,20 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20) -> Pareto
     if conv is None or not summary.x_profile_ok[0]:
         return ParetoReport(False, conv, False, deltas, 0)
 
-    gains = trajectory.final_gains
+    gains, behaviors = trajectory.final_gains, trajectory.behaviors
     x = float(trajectory.x[-1])
+    targets = [class_target_sinr(b, cfg) for b in behaviors]
     powers = trajectory.outcomes.power[-1].copy()
-    agents = [FollowerAgent(b, class_target_sinr(b, cfg), p)
-              for b, p in zip(trajectory.behaviors, powers.tolist())]
     replay_stages, memo = 0, []
     while replay_stages < window:
         replay_stages += 1
-        t = len(trajectory.outcomes) + replay_stages
-        new_powers = play_stage(agents, x, powers, gains, t, cfg, memo).powers
+        new_powers = play_stage(behaviors, targets, x, powers, gains, cfg, memo).power.copy()
         shift = float(np.max(np.abs(new_powers - powers)))
         powers = new_powers
         if shift < PARETO_EPSILON:
             break
 
-    audits = _follower_audits(trajectory.behaviors, x, powers, gains, cfg)
+    audits = _follower_audits(behaviors, x, powers, gains, cfg)
     minimality_ok = not any(
         top > lo and np.any(on_grid(np.linspace(lo, top, PARETO_GRID_POINTS)) >= current)
         for top, (lo, current, on_grid) in zip((powers - PARETO_REDUCTION).tolist(), audits))

@@ -63,12 +63,6 @@ def interference_all(powers: np.ndarray, gains: np.ndarray, noise: float) -> np.
     return received - own + noise
 
 
-def sinr_all(powers: np.ndarray, gains: np.ndarray, noise: float) -> np.ndarray:
-    """Vectorized linear SINR for all pairs at once."""
-    own = powers * np.diagonal(gains)
-    return own / interference_all(powers, gains, noise)
-
-
 def pdr_from_sinr(gamma: float, mod: ModulationParams) -> float:
     """Packet delivery ratio exp(a * gamma**b) for a linear SINR gamma > 0."""
     if gamma <= 0.0:

@@ -5,13 +5,13 @@ satisfaction price is charged, and the same three follower performance terms
 are maximized over the same feasible set (the target-SINR floor is kept,
 otherwise the casual baseline is degenerate: its utility is constant in its
 own power).  It runs on the stage engine of ``game``; only the planning
-powers that set each stage's interference differ.
+powers whose interference each stage answers differ.
 
-With ``npc_rerandomize`` on (the default) the planning powers are redrawn
-uniformly from the action set every stage, so players keep optimizing against
-action-set-level interference; switched off, players iterate best responses
-against the previously chosen powers and reach a fixed point on a frozen
-channel.
+Stage 1 answers the initial powers.  With ``npc_rerandomize`` on (the
+default) every later stage answers a fresh uniform draw from the action set,
+so players keep optimizing against action-set-level interference; switched
+off, players iterate best responses against the previously chosen powers and
+reach a fixed point on a frozen channel.
 """
 
 from __future__ import annotations
@@ -19,36 +19,21 @@ from __future__ import annotations
 import numpy as np
 
 from .config import BehaviorClass, GameConfig
-from .game import (
-    FollowerAgent,
-    StageRecord,
-    Trajectory,
-    play_repetition,
-    play_stage,
-)
+from .game import Trajectory, play_repetition, play_stage
 # Not called here: bench/tracing.py looks these names up in this module as well
 # as in game, whose stage engine calls all of them but class_means.
 from .channel import gain_matrix, generate_topology  # noqa: F401
 from .game import class_means, maximize_concave, measure_followers  # noqa: F401
 
 
-def planning_powers(agents: list[FollowerAgent], t: int, rng: np.random.Generator,
-                    cfg: GameConfig) -> np.ndarray:
-    """Powers whose interference each player answers at stage t.
-
-    Stage 1 answers the initial powers; later stages answer a fresh uniform
-    draw from the action set, or the previous stage's choices when
-    ``npc_rerandomize`` is off.
-    """
-    if t == 1 or not cfg.npc_rerandomize:
-        return np.array([agent.power for agent in agents])
-    return rng.uniform(cfg.p_min, cfg.p_max, size=len(agents))
-
-
-def run_npc_stage(agents: list[FollowerAgent], planning: np.ndarray, gains: np.ndarray, t: int,
-                  cfg: GameConfig, memo: list | None = None) -> StageRecord:
-    """One baseline stage: maximize each price-free utility, then measure; memo is play_stage's."""
-    return play_stage(agents, None, planning, gains, t, cfg, memo)
+def run_npc_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float],
+                  powers: np.ndarray, gains: np.ndarray, t: int, rng: np.random.Generator,
+                  cfg: GameConfig, memo: list | None = None) -> np.recarray:
+    """One baseline stage: draw the planning powers, maximize each price-free
+    utility against them, then measure; memo is play_stage's."""
+    if t > 1 and cfg.npc_rerandomize:
+        powers = rng.uniform(cfg.p_min, cfg.p_max, size=len(behaviors))
+    return play_stage(behaviors, targets, None, powers, gains, cfg, memo)
 
 
 def run_npc_game(cfg: GameConfig, repetition: int = 0,
@@ -60,5 +45,5 @@ def run_npc_game(cfg: GameConfig, repetition: int = 0,
     """
     return play_repetition(
         cfg, repetition, behaviors,
-        lambda agents, gains, t, rng, memo: run_npc_stage(
-            agents, planning_powers(agents, t, rng, cfg), gains, t, cfg, memo))
+        lambda pairs, targets, _x, powers, gains, t, rng, memo: (None, run_npc_stage(
+            pairs, targets, powers, gains, t, rng, cfg, memo)))

@@ -125,17 +125,18 @@ def test_fit_with_unusable_sinr_exits_one(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("bad", ["2.0,abc", "1.5,0.9,extra", "2.0"],
-                         ids=["non-number", "third-cell", "one-cell"])
-def test_fit_bad_row_exits_one_naming_its_line(tmp_path, capsys, bad):
+@pytest.mark.parametrize("bad, line", [("2.0,abc", 12), ("1.5,0.9,extra", 12), ("2.0", 12),
+                                       ("1.5,0.9,extra", 1)],
+                         ids=["non-number", "third-cell", "one-cell", "numeric-header"])
+def test_fit_bad_row_exits_one_naming_its_line(tmp_path, capsys, bad, line):
     samples = tmp_path / "samples.csv"
     write_fit_samples(samples)
     lines = samples.read_text(encoding="utf-8").splitlines()
-    samples.write_text("\n".join(lines[:11] + [bad] + lines[11:]), encoding="utf-8")
+    samples.write_text("\n".join(lines[:line - 1] + [bad] + lines[line - 1:]), encoding="utf-8")
     assert main(["fit", "--samples", str(samples)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ubeas: ")
-    assert "line 12" in err and bad in err
+    assert f"line {line}:" in err and bad in err
     assert "Traceback" not in err
 
 
@@ -176,8 +177,10 @@ def test_no_arguments_is_usage_error(capsys):
     ("num_pairs = 6\ndoppler = nan\n", []),
     ("num_pairs = 6\nw = nan\n", []),
     ("num_pairs = 6\np_max = nan\n", []),
+    ("num_pairs = 6\ncell_radius = 1e200\n", []),
 ], ids=["pairs-not-multiple-of-3", "one-pair", "crowded-cell", "zero-stages", "zero-stages-npc",
-        "tolerance-below-float-spacing", "doppler-nan", "w-nan", "p_max-nan"])
+        "tolerance-below-float-spacing", "doppler-nan", "w-nan", "p_max-nan",
+        "cell_radius-overflow"])
 def test_config_that_cannot_run_exits_one(tmp_path, capsys, config_text, extra_args):
     cfg = tmp_path / "cell.cfg"
     cfg.write_text(config_text + "stages = 4\nrepetitions = 2\n", encoding="utf-8")

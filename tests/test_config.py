@@ -99,6 +99,8 @@ def test_load_config_rejects_bad_values():
         load_config("seed = -1")
     with pytest.raises(ConfigError, match="multiple of 3"):
         load_config("num_pairs = 4")
+    with pytest.raises(ConfigError, match="^cell_radius .*overflow"):
+        load_config("cell_radius = 1e200")
 
 
 def test_validation_names_price_domain_invariant():

@@ -11,8 +11,6 @@ from ubeas.channel import FadingState
 from ubeas.config import BehaviorClass, ConfigError, GameConfig, rng_streams
 from ubeas.game import (
     RECORD_DTYPE,
-    FollowerAgent,
-    StageRecord,
     _best_response_with_target,
     _gradient_fn,
     _log_qx,
@@ -25,14 +23,12 @@ from ubeas.game import (
     leader_utility,
     maximize_concave,
     payoff,
-    payoff_gradient,
     price_curvature_power,
     price_curvature_x,
     price_gradient_power,
     price_gradient_x,
     required_power,
     run_game,
-    run_stage,
     satisfaction_price,
 )
 from ubeas.harness import check_pareto_convergence
@@ -261,7 +257,7 @@ def test_gradients_match_finite_differences():
 
 
 def unfolded_payoff_gradient(behavior, x, p, own_gain, interference, target, cfg):
-    """payoff_gradient as written before its constants were folded: the reference."""
+    """The payoff gradient as written before its constants were folded: the reference."""
     gamma = p * own_gain / interference
     if behavior is BehaviorClass.CASUAL:
         slope = 0.0
@@ -315,7 +311,8 @@ def test_gradient_fn_equals_unfolded_gradient_bit_for_bit(behavior, x, priority,
     log_qx = None if x is None else _log_qx(x, cfg)
     assert _gradient_fn(behavior, target, x, own, interference, cfg, log_qx)(p).hex() \
         == expected.hex()
-    assert payoff_gradient(behavior, x, p, own, interference, target, cfg).hex() == expected.hex()
+    assert follower_utility_gradient(behavior, x, p, own, interference, cfg).hex() \
+        == expected.hex()
 
 
 def test_gradient_fn_keeps_the_deep_fade_and_price_domain_guards():
@@ -336,7 +333,7 @@ def test_gradient_fn_keeps_the_deep_fade_and_price_domain_guards():
         with pytest.raises(ValueError):
             _gradient_fn(behavior, target, 0.5, 1e-9, 1e-12, CFG, _log_qx(0.5, CFG))(0.7)
         with pytest.raises(ValueError):
-            payoff_gradient(behavior, 1.5, 0.1, 1e-9, 1e-12, target, CFG)
+            _gradient_fn(behavior, target, 1.5, 1e-9, 1e-12, CFG, _log_qx(1.5, CFG))(0.1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -424,7 +421,8 @@ def test_casual_closed_form_equals_generic_solver(own_gain, p_req_wanted, x, pri
     else:
         expected = (maximize_concave(
             lambda p: payoff(behavior, x, p, own_gain, interf, target, cfg),
-            lambda p: payoff_gradient(behavior, x, p, own_gain, interf, target, cfg),
+            _gradient_fn(behavior, target, x, own_gain, interf, cfg,
+                         None if x is None else _log_qx(x, cfg)),
             max(cfg.p_min, p_req), cfg.p_max, cfg.br_tolerance), False)
     assert follower_best_response(behavior, x, own_gain, interf, cfg) == expected
 
@@ -524,7 +522,7 @@ def test_run_stage_protocol_ordering():
     # leader reacts to previous powers first; followers then best-respond to
     # the previous-stage interference using the freshly updated satisfaction
     from ubeas import link
-    from ubeas.game import FollowerAgent, LeaderState, run_stage
+    from ubeas.game import run_stage
 
     cfg = GameConfig(num_pairs=3, stages=5)
     rng = np.random.default_rng(55)
@@ -532,23 +530,21 @@ def test_run_stage_protocol_ordering():
     gains[np.diag_indices(3)] = np.exp(rng.uniform(np.log(1e-8), np.log(1e-7), size=3))
     mod = cfg.modulation_params
     from ubeas.link import target_sinr as link_target
-    agents = [
-        FollowerAgent(b, link_target(0.90, mod), float(rng.uniform(cfg.p_min, cfg.p_max)))
-        for b in BehaviorClass
-    ]
-    leader = LeaderState(x=cfg.x_init)
-    run_stage(leader, agents, gains, cfg)  # t = 1, x pinned at x_init
-    prev_powers = np.array([a.power for a in agents])
-    prev_x = leader.x
+    behaviors = tuple(BehaviorClass)
+    targets = [link_target(0.90, mod) for _ in behaviors]
+    powers = np.array([float(rng.uniform(cfg.p_min, cfg.p_max)) for _ in behaviors])
+    # t = 1, x pinned at x_init
+    prev_x, row = run_stage(behaviors, targets, None, powers, gains, 1, cfg)
+    prev_powers = row.power.copy()
 
-    record = run_stage(leader, agents, gains, cfg)  # t = 2
+    x, row = run_stage(behaviors, targets, prev_x, prev_powers, gains, 2, cfg)  # t = 2
     expected_x = leader_best_satisfaction(prev_x, 2.0, cfg.x_floor)
-    assert record.x == expected_x
+    assert x == expected_x
     interference = link.interference_all(prev_powers, gains, cfg.noise_power)
-    for i, agent in enumerate(agents):
+    for i, behavior in enumerate(behaviors):
         expected_p, _ = follower_best_response(
-            agent.behavior, record.x, float(gains[i, i]), float(interference[i]), cfg)
-        assert record.outcomes.power[i] == expected_p
+            behavior, x, float(gains[i, i]), float(interference[i]), cfg)
+        assert row.power[i] == expected_p
 
 
 def test_maximize_concave_golden_fallback_on_nonconcave_input():
@@ -587,18 +583,17 @@ def test_stage_class_means_recompute_from_members():
 # The stage memo: a stage whose inputs repeat one of the last two is a copy.
 # ---------------------------------------------------------------------------
 
-def solve_every_pair(agents, x, reference_powers, gains, t, cfg, memo=None):
+def solve_every_pair(behaviors, targets, x, reference_powers, gains, cfg, memo=None):
     """play_stage without the memo: every pair solves and is measured at every stage."""
     interference = link.interference_all(reference_powers, gains, cfg.noise_power)
     log_qx = None if x is None else _log_qx(x, cfg)
-    outages = []
-    for i, agent in enumerate(agents):
-        agent.power, outage = _best_response_with_target(
-            agent.behavior, agent.target_sinr, x, float(gains[i, i]), float(interference[i]),
-            cfg, log_qx)
+    powers, outages = [], []
+    for i, (behavior, target) in enumerate(zip(behaviors, targets)):
+        power, outage = _best_response_with_target(
+            behavior, target, x, float(gains[i, i]), float(interference[i]), cfg, log_qx)
+        powers.append(power)
         outages.append(outage)
-    outcomes = game.measure_followers(agents, x, gains, outages, cfg)
-    return StageRecord(t, x, tuple(agent.behavior for agent in agents), outcomes)
+    return game.measure_followers(behaviors, targets, x, np.array(powers), gains, outages, cfg)
 
 
 def count_calls(monkeypatch, owner=game, name="maximize_concave") -> list:
@@ -675,7 +670,7 @@ def test_memo_never_hits_on_a_fading_channel_or_rerandomized_npc(monkeypatch, na
         # stage 1 answers the initial powers, every later stage a fresh draw
         rng = rng_streams(cfg.seed, 0).powers
         stream = [rng.uniform(cfg.p_min, cfg.p_max, size=cfg.num_pairs) for _ in range(cfg.stages)]
-        assert [args[2].tobytes() for args in played] == [draw.tobytes() for draw in stream]
+        assert [args[3].tobytes() for args in played] == [draw.tobytes() for draw in stream]
 
 
 def test_reuse_solves_again_when_only_satisfaction_changes():
@@ -684,34 +679,34 @@ def test_reuse_solves_again_when_only_satisfaction_changes():
     gains = np.exp(rng.uniform(np.log(1e-12), np.log(1e-10), size=(3, 3)))
     # weak own links, so the serious pair's answer lies inside its feasible set
     gains[np.diag_indices(3)] = 3e-11
-    agents = [FollowerAgent(b, class_target_sinr(b, cfg), cfg.p_min) for b in BehaviorClass]
+    behaviors = tuple(BehaviorClass)
+    targets = [class_target_sinr(b, cfg) for b in behaviors]
     reference = np.full(3, cfg.p_min)
     powers, memo = [], []
     for x in (0.001, 1.0):
-        record = game.play_stage(agents, x, reference, gains, 1, cfg, memo)
-        fresh = [FollowerAgent(b, class_target_sinr(b, cfg), cfg.p_min) for b in BehaviorClass]
-        expected = solve_every_pair(fresh, x, reference, gains, 1, cfg)
-        assert record.outcomes.power.tobytes() == expected.outcomes.power.tobytes()
-        powers.append(record.outcomes.power.tolist())
+        row = game.play_stage(behaviors, targets, x, reference, gains, cfg, memo)
+        expected = solve_every_pair(behaviors, targets, x, reference, gains, cfg)
+        assert row.power.tobytes() == expected.power.tobytes()
+        powers.append(row.power.tolist())
     assert powers[0] != powers[1]
     assert [key[0] for key in memo] == [1.0, 0.001]
 
 
-def test_memo_hit_restores_every_agent_power():
+def test_memo_hit_returns_a_copy_of_the_stored_row():
     cfg = GameConfig(num_pairs=3)
     gains = np.full((3, 3), 1e-12)
     gains[np.diag_indices(3)] = 3e-11
-    agents = [FollowerAgent(b, class_target_sinr(b, cfg), cfg.p_min) for b in BehaviorClass]
+    behaviors = tuple(BehaviorClass)
+    targets = [class_target_sinr(b, cfg) for b in behaviors]
     reference, memo = np.full(3, cfg.p_min), []
-    first = game.play_stage(agents, 1.0, reference, gains, 1, cfg, memo)
-    for agent in agents:
-        agent.power = cfg.p_max
-    second = game.play_stage(agents, 1.0, reference, gains, 2, cfg, memo)
-    assert len(memo) == 1 and second.t == 2
+    first = game.play_stage(behaviors, targets, 1.0, reference, gains, cfg, memo)
+    second = game.play_stage(behaviors, targets, 1.0, reference, gains, cfg, memo)
+    assert len(memo) == 1
     for field in RECORD_DTYPE.names:   # the aligned dtype's padding bytes are not zeroed
-        assert second.outcomes[field].tobytes() == first.outcomes[field].tobytes(), field
-    assert second.outcomes is not memo[0][3]
-    assert [agent.power for agent in agents] == first.outcomes.power.tolist()
+        assert second[field].tobytes() == first[field].tobytes(), field
+    assert second is not memo[0][3] and first is not memo[0][3]
+    second.power[:] = cfg.p_max
+    assert memo[0][3].power.tolist() == first.power.tolist()
 
 
 def test_pareto_replay_is_unchanged_by_the_memo_on_criterion_9_seeds(monkeypatch):

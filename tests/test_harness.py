@@ -203,7 +203,7 @@ def scalar_nash_oracle(record, gains, cfg, epsilon, grid_points):
 
     Returns (passed, worst_follower, follower_gains, leader_ok).
     """
-    powers = record.powers
+    powers = record.outcomes.power.copy()
     deviation_gains = []
     for i, behavior in enumerate(record.behaviors):
         interference = float(powers @ gains[:, i] - powers[i] * gains[i, i] + cfg.noise_power)
@@ -346,7 +346,7 @@ def test_check_pareto_replay_equals_per_pair_best_responses(window, monkeypatch)
     assert report.converged
     assert report.replay_stages == replay_stages == len(stages)
     assert replay_stages == min(window, 4)   # the 3% bump settles in 4 stages
-    assert stages[-1].outcomes.power.tolist() == powers.tolist()
+    assert stages[-1].power.tolist() == powers.tolist()
 
 
 def test_outage_rate_bounds():

@@ -3,17 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from ubeas.config import BehaviorClass, GameConfig
+from ubeas.game import measure_followers
 from ubeas.link import (
     MODULATIONS,
     FitError,
     fit_pdr_params,
     interference_all,
     pdr_from_sinr,
-    sinr_all,
     target_sinr,
 )
 
 QAM16 = MODULATIONS["16qam"]
+
+
+def measured_sinr(powers, gains, noise):
+    """The sinr column measure_followers records at these powers, for casual pairs."""
+    m = len(powers)
+    return measure_followers((BehaviorClass.CASUAL,) * m, [1.0] * m, None, powers, gains,
+                             (False,) * m, GameConfig(noise_power=noise)).sinr
 
 
 def test_modulation_table_rows():
@@ -28,14 +36,14 @@ def test_modulation_table_rows():
 
 def test_sinr_single_pair_is_snr():
     gains = np.array([[2.5e-9]])
-    assert sinr_all(np.array([0.01]), gains, 1e-13)[0] == 0.01 * 2.5e-9 / 1e-13
+    assert measured_sinr(np.array([0.01]), gains, 1e-13)[0] == 0.01 * 2.5e-9 / 1e-13
 
 
 def test_sinr_symmetric_two_pairs():
     g_own, g_cross = 1e-8, 1e-11
     gains = np.array([[g_own, g_cross], [g_cross, g_own]])
     powers = np.array([0.05, 0.05])
-    got = sinr_all(powers, gains, 1e-13)
+    got = measured_sinr(powers, gains, 1e-13)
     assert got[0] == got[1]
 
 
@@ -44,7 +52,7 @@ def test_sinr_matches_bruteforce_and_vector_form():
     gains = rng.uniform(1e-12, 1e-8, size=(4, 4))
     powers = rng.uniform(1e-3, 0.2, size=4)
     noise = 1.1995e-13
-    vec = sinr_all(powers, gains, noise)
+    vec = measured_sinr(powers, gains, noise)
     for i in range(4):
         denom = sum(powers[j] * gains[j, i] for j in range(4) if j != i) + noise
         expected = powers[i] * gains[i, i] / denom
@@ -58,9 +66,9 @@ def test_sinr_matches_bruteforce_and_vector_form():
 def test_sinr_index_out_of_range():
     # a power vector that does not match the gain matrix names pairs it does not have
     with pytest.raises(ValueError):
-        sinr_all(np.array([0.01, 0.01, 0.01]), np.ones((2, 2)), 1e-13)
+        measured_sinr(np.array([0.01, 0.01, 0.01]), np.ones((2, 2)), 1e-13)
     with pytest.raises(ValueError):
-        sinr_all(np.array([0.01]), np.ones((2, 2)), 1e-13)
+        measured_sinr(np.array([0.01]), np.ones((2, 2)), 1e-13)
 
 
 def test_pdr_reference_points():
