@@ -8,11 +8,18 @@ where A_PL is the free-space attenuation, A_SSF a unit-mean-square Rayleigh
 envelope from a sum-of-sinusoids generator, d0 the reference distance and
 alpha the path loss exponent.  Power gains are the squared amplitudes, so
 E[G] = A_PL**2 * (d0/d)**alpha over the fading.
+
+The fading state is built and advanced in blocks of link rows.  Every link
+evolves on its own and its oscillator sum is one reduction over its own
+oscillators, so a block computes exactly the bits the whole array would.
+numpy releases the GIL inside its loops, so with more than one block the
+blocks run on a thread pool that lives for one call.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +92,23 @@ def path_loss_amplitudes(topology: CellTopology, cfg: GameConfig) -> np.ndarray:
     return cfg.path_loss_attenuation * ratio ** (cfg.path_loss_exponent / 2.0)
 
 
+# Oscillators per block: a few MiB of temporaries per block.  At M=384 with
+# 16 oscillators that is 21 rows (19 blocks); at M=24 it is one block.
+_BLOCK_OSCILLATORS = 1 << 17
+
+# Threads a multi-block state runs its blocks on: one per usable core.  A pool
+# worker process runs them serially (harness.run_experiment passes
+# run_blocks_serially as the pool initializer): the workers fill the cores.
+_block_threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+
+
+def run_blocks_serially() -> None:
+    """Make every FadingState in this process run its blocks on the calling thread."""
+    global _block_threads
+    _block_threads = 1
+
+
 class FadingState:
     """Sum-of-sinusoids Rayleigh fading, one independent process per link.
 
@@ -92,20 +116,53 @@ class FadingState:
     angles and phases, advanced by one symbol period per stage.  The envelope
     has unit mean square; consecutive samples are highly correlated for small
     normalized Doppler (zero Doppler freezes the process).
+
+    The angles and phases are drawn whole, in that order, so the fading
+    stream does not depend on the blocking.  The oscillators and rotations
+    are then filled block by block of link rows, and advance steps and sums
+    each block into its rows of the result.  Each element goes through the
+    same operations as on the whole array, so the amplitudes are bit for bit
+    those of an unblocked state, serial or threaded.
     """
 
     def __init__(self, shape: tuple[int, int], n_osc: int, doppler: float,
                  rng: np.random.Generator) -> None:
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
-        self._osc = np.exp(1j * phases)
-        self._rot = np.exp(1j * (2.0 * math.pi * doppler * np.cos(angles)))
+        rows = max(1, _BLOCK_OSCILLATORS // (shape[1] * n_osc))
+        self._blocks = [slice(r, r + rows) for r in range(0, shape[0], rows)]
+        self._osc = np.empty(shape + (n_osc,), dtype=complex)
+        self._rot = np.empty(shape + (n_osc,), dtype=complex)
         self._norm = 1.0 / math.sqrt(n_osc)
+        turn = 2.0 * math.pi * doppler
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
+        # The rotations are built before the phases are drawn, so the angles
+        # are freed before the phases exist.
+        self._run(lambda b: np.exp(1j * (turn * np.cos(angles[b])), out=self._rot[b]))
+        del angles
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
+        self._run(lambda b: np.exp(1j * phases[b], out=self._osc[b]))
+
+    def _run(self, block_fn) -> None:
+        """Call block_fn on every block, on a short-lived thread pool if there are several."""
+        if len(self._blocks) == 1 or _block_threads == 1:
+            for b in self._blocks:
+                block_fn(b)
+            return
+        from concurrent.futures import ThreadPoolExecutor   # here: one block never needs it
+        with ThreadPoolExecutor(max_workers=min(_block_threads, len(self._blocks))) as pool:
+            for _ in pool.map(block_fn, self._blocks):
+                pass
 
     def advance(self) -> np.ndarray:
         """Step every link by one stage and return the new envelope amplitudes."""
-        self._osc *= self._rot
-        return np.abs(self._osc.sum(axis=-1)) * self._norm
+        amplitudes = np.empty(self._osc.shape[:2])
+
+        def step(b: slice) -> None:
+            osc = self._osc[b]
+            osc *= self._rot[b]
+            np.multiply(np.abs(osc.sum(axis=-1)), self._norm, out=amplitudes[b])
+
+        self._run(step)
+        return amplitudes
 
 
 def gain_matrix(pl_amplitudes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:

@@ -203,6 +203,35 @@ class GameConfig:
             raise ConfigError(
                 f"unknown modulation {self.modulation!r}; known: {sorted(link.MODULATIONS)}"
             )
+        # Link budget: every tx-rx distance lies in [min_link_distance, 2 * cell_radius],
+        # and the fading envelope is at most sqrt(jakes_oscillators).
+        if self._path_loss_gain(2.0 * self.cell_radius) == 0.0:
+            raise ConfigError(
+                "the path-loss gain at the longest link "
+                f"(2 * cell_radius = {2.0 * self.cell_radius!r} m) underflows to 0: "
+                f"reference_distance = {self.reference_distance!r}, "
+                f"path_loss_attenuation = {self.path_loss_attenuation!r}, "
+                f"path_loss_exponent = {self.path_loss_exponent!r}")
+        best_sinr = (self.p_max * self._path_loss_gain(self.min_link_distance)
+                     * self.jakes_oscillators / self.noise_power)
+        mod = self.modulation_params
+        try:
+            exponent = mod.a * best_sinr ** mod.b
+        except (OverflowError, ZeroDivisionError):
+            exponent = math.inf
+        if not math.isfinite(exponent):
+            raise ConfigError(
+                f"noise_power = {self.noise_power!r} W leaves no usable link: the best-case SINR "
+                f"{best_sinr:.3g} (p_max at min_link_distance, peak fading) puts the "
+                f"{self.modulation} PDR exponent a * SINR**b out of floating-point range")
+
+    def _path_loss_gain(self, distance: float) -> float:
+        """Path-loss power gain (A_PL * (d0/d)**(alpha/2))**2 at one distance; inf on overflow."""
+        try:
+            return (self.path_loss_attenuation
+                    * (self.reference_distance / distance) ** (self.path_loss_exponent / 2.0)) ** 2
+        except OverflowError:
+            return math.inf
 
 
 # Keys accepted in config files, mirroring the GameConfig field names.

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .channel import CellTopology
+from .channel import CellTopology, run_blocks_serially
 from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig
 from .game import (
     StageRecord,
@@ -201,7 +201,9 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
     # A forking pool starts every worker at its first submit: one per repetition is enough.
     jobs = min(jobs, len(tasks))
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The workers fill the cores, so each runs its fading blocks serially.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
+                                                    initializer=run_blocks_serially) as pool:
             trajectories = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         trajectories = [_run_one(task) for task in tasks]

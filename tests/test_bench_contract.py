@@ -1,15 +1,22 @@
 """The names the benchmark under bench/ looks up in ubeas still exist.
 
-bench/tracing.py rebinds every TRACED_CALLS entry, and bench/sample.py passes
-the last StageRecord of a trajectory to check_epsilon_nash.  Only a traced
-benchmark run, which takes minutes, exercises them otherwise.
+bench/tracing.py rebinds every TRACED_CALLS entry and unpacks the leading
+arguments of FadingState, and bench/sample.py passes the last StageRecord of a
+trajectory to check_epsilon_nash.  Only a traced benchmark run, which takes
+minutes, exercises them otherwise.
 """
 
 import importlib
 import importlib.util
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import ubeas
 from ubeas import harness
+from ubeas.channel import FadingState
 from ubeas.config import GameConfig
 from ubeas.game import StageRecord, run_game
 
@@ -43,3 +50,23 @@ def test_nash_check_takes_the_last_record_as_the_benchmark_passes_it():
                                         epsilon=1e-6, grid_points=10)
     assert len(report.follower_gains) == cfg.num_pairs
     assert report.leader_ok
+
+
+def test_fading_init_starts_with_the_arguments_the_tracer_unpacks():
+    # Tracer._fading_bytes reads (self, shape, n_osc) from args[:3]
+    params = list(inspect.signature(FadingState.__init__).parameters)
+    assert params[:3] == ["self", "shape", "n_osc"]
+
+
+def test_import_leaves_multiprocessing_out():
+    # reference's peak RSS includes whatever `import ubeas` loads; a fresh
+    # interpreter, since this one may have imported multiprocessing already
+    code = ("import sys\n"
+            "import ubeas\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n")
+    src = str(Path(ubeas.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,12 @@
+import concurrent.futures
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from ubeas import channel
 from ubeas.channel import (
     CellTopology,
     FadingState,
@@ -143,3 +149,78 @@ def test_gain_matrix_elementwise_oracle():
                          * (cfg.reference_distance / d) ** (cfg.path_loss_exponent / 2.0))
             assert abs(gains[j, i] - amplitude ** 2) <= 1e-12 * amplitude ** 2
     assert np.all(gains > 0) and np.all(np.isfinite(gains))
+
+
+def whole_array_amplitudes(shape, n_osc, doppler, rng, advances):
+    """The unblocked fading state: both draws, then one array operation per step."""
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
+    osc = np.exp(1j * phases)
+    rot = np.exp(1j * (2.0 * math.pi * doppler * np.cos(angles)))
+    frames = []
+    for _ in range(advances):
+        osc *= rot
+        frames.append(np.abs(osc.sum(axis=-1)) * (1.0 / math.sqrt(n_osc)))
+    return frames
+
+
+class CountingThreadPool(concurrent.futures.ThreadPoolExecutor):
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        CountingThreadPool.started += 1
+        super().__init__(*args, **kwargs)
+
+
+def blocked_amplitudes(monkeypatch, threads, shape, n_osc, doppler, advances):
+    """Amplitudes of a FadingState in 3-row blocks run on the given number of threads;
+    also the number of thread pools it started."""
+    monkeypatch.setattr(channel, "_BLOCK_OSCILLATORS", 3 * shape[1] * n_osc)
+    monkeypatch.setattr(channel, "_block_threads", threads)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingThreadPool)
+    CountingThreadPool.started = 0
+    fading = FadingState(shape, n_osc, doppler, rng_streams(21, 2).fading)
+    assert [(b.start, b.stop) for b in fading._blocks] == [(0, 3), (3, 6), (6, 9), (9, 12)]
+    frames = [fading.advance() for _ in range(advances)]
+    return frames, CountingThreadPool.started
+
+
+@pytest.mark.parametrize("n_osc", [16, 5])
+@pytest.mark.parametrize("doppler", [0.01, 0.0])
+def test_blocked_fading_equals_the_whole_array_bit_for_bit(monkeypatch, doppler, n_osc):
+    # 11 rows in blocks of 3: four blocks, the last one of 2 rows
+    shape = (11, 7)
+    reference = whole_array_amplitudes(shape, n_osc, doppler, rng_streams(21, 2).fading, 6)
+    for threads in (1, 3):
+        frames, _ = blocked_amplitudes(monkeypatch, threads, shape, n_osc, doppler, 6)
+        for got, want in zip(frames, reference, strict=True):
+            assert got.shape == shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("doppler", [0.01, 0.0])
+def test_threaded_blocks_equal_serial_blocks_and_leave_no_thread(monkeypatch, doppler):
+    shape = (11, 7)
+    serial, serial_pools = blocked_amplitudes(monkeypatch, 1, shape, 16, doppler, 5)
+    # three threads, switching as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, threaded_pools = blocked_amplitudes(monkeypatch, 3, shape, 16, doppler, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial_pools == 0
+    assert threaded_pools == 2 + 5   # two fills in __init__, one per advance
+    assert [f.tobytes() for f in threaded] == [f.tobytes() for f in serial]
+    # every pool has joined its threads by the time the call returns
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor-")]
+
+
+def test_one_block_starts_no_thread_pool(monkeypatch):
+    monkeypatch.setattr(channel, "_block_threads", 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingThreadPool)
+    CountingThreadPool.started = 0
+    fading = FadingState((24, 24), 16, 0.01, rng_streams(3, 0).fading)
+    fading.advance()
+    assert len(fading._blocks) == 1
+    assert CountingThreadPool.started == 0

@@ -101,6 +101,12 @@ def test_load_config_rejects_bad_values():
         load_config("num_pairs = 4")
     with pytest.raises(ConfigError, match="^cell_radius .*overflow"):
         load_config("cell_radius = 1e200")
+    with pytest.raises(ConfigError, match="^noise_power .*PDR exponent"):
+        load_config("noise_power = 1e300")
+    with pytest.raises(ConfigError, match="longest link .*underflows.*reference_distance = 5.9e-159"):
+        load_config("reference_distance = 5.9e-159")
+    with pytest.raises(ConfigError, match="longest link .*underflows.*path_loss_attenuation = 1e-200"):
+        load_config("path_loss_attenuation = 1e-200")
 
 
 def test_validation_names_price_domain_invariant():

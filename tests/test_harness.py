@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubeas import harness, link
+from ubeas.channel import run_blocks_serially
 from ubeas.config import BehaviorClass, ConfigError, GameConfig, watts_to_dbm
 from ubeas.game import (
     RECORD_DTYPE,
@@ -367,8 +372,9 @@ def test_pool_never_gets_more_workers_than_repetitions(monkeypatch):
     seen = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             seen.append(max_workers)
+            assert initializer is run_blocks_serially
 
         def __enter__(self):
             return self
@@ -385,6 +391,35 @@ def test_pool_never_gets_more_workers_than_repetitions(monkeypatch):
     summary, trajectories = run_experiment(cfg, "ubeas", jobs=64)
     assert seen == [3, 1]
     assert len(trajectories) == 3
+
+
+def test_threaded_fading_then_a_forked_pool_in_one_process():
+    # Several fading blocks on threads at jobs=1, then forked workers at jobs=2.  A
+    # thread pool that outlived its call would be inherited by the workers without
+    # its threads; a fresh interpreter with a timeout keeps such a deadlock out of the suite.
+    code = (
+        "import dataclasses, threading\n"
+        "from ubeas import channel\n"
+        "from ubeas.config import GameConfig\n"
+        "from ubeas.harness import run_experiment\n"
+        "channel._BLOCK_OSCILLATORS = 2 * 6 * 16\n"
+        "channel._block_threads = 2\n"
+        "cfg = GameConfig(num_pairs=6, stages=5, repetitions=2)\n"
+        "_, serial = run_experiment(cfg, 'ubeas', jobs=1)\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "_, pooled = run_experiment(cfg, 'ubeas', jobs=2)\n"
+        "for a, b in zip(serial, pooled, strict=True):\n"
+        "    for name in a.outcomes.dtype.names:   # field by field: the records have padding\n"
+        "        assert a.outcomes[name].tobytes() == b.outcomes[name].tobytes(), name\n"
+        "    assert a.x.tobytes() == b.x.tobytes()\n"
+        "    assert a.final_gains.tobytes() == b.final_gains.tobytes()\n"
+        "print('equal')\n")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "equal"
 
 
 def test_check_epsilon_nash_outage_follower_gains_nothing():
