@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,17 +97,8 @@ def path_loss_amplitudes(topology: CellTopology, cfg: GameConfig) -> np.ndarray:
 # 16 oscillators that is 21 rows (19 blocks); at M=24 it is one block.
 _BLOCK_OSCILLATORS = 1 << 17
 
-# Threads a multi-block state runs its blocks on: one per usable core.  A pool
-# worker process runs them serially (harness.run_experiment passes
-# run_blocks_serially as the pool initializer): the workers fill the cores.
-_block_threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
-
-
-def run_blocks_serially() -> None:
-    """Make every FadingState in this process run its blocks on the calling thread."""
-    global _block_threads
-    _block_threads = 1
+# Usable cores: the threads a multi-block state runs its blocks on.
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class FadingState:
@@ -129,6 +121,11 @@ class FadingState:
                  rng: np.random.Generator) -> None:
         rows = max(1, _BLOCK_OSCILLATORS // (shape[1] * n_osc))
         self._blocks = [slice(r, r + rows) for r in range(0, shape[0], rows)]
+        # One thread per usable core, except in a multiprocessing child, whose
+        # sibling workers already fill the cores.  Looked up, not imported: a
+        # process that never loaded multiprocessing is no child of it.
+        mp = sys.modules.get("multiprocessing")
+        self._threads = 1 if mp is not None and mp.parent_process() is not None else _CORES
         self._osc = np.empty(shape + (n_osc,), dtype=complex)
         self._rot = np.empty(shape + (n_osc,), dtype=complex)
         self._norm = 1.0 / math.sqrt(n_osc)
@@ -143,12 +140,13 @@ class FadingState:
 
     def _run(self, block_fn) -> None:
         """Call block_fn on every block, on a short-lived thread pool if there are several."""
-        if len(self._blocks) == 1 or _block_threads == 1:
+        threads = min(self._threads, len(self._blocks))
+        if threads == 1:
             for b in self._blocks:
                 block_fn(b)
             return
         from concurrent.futures import ThreadPoolExecutor   # here: one block never needs it
-        with ThreadPoolExecutor(max_workers=min(_block_threads, len(self._blocks))) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             for _ in pool.map(block_fn, self._blocks):
                 pass
 

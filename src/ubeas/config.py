@@ -88,6 +88,11 @@ def assign_behavior_classes(m_pairs: int) -> list[BehaviorClass]:
 # Game configuration.
 # ---------------------------------------------------------------------------
 
+# The values a field of each declared type takes (a bool, though an int, is no number).
+_FIELD_TYPES = {"float": (int, float, np.integer, np.floating), "int": (int, np.integer),
+                "bool": bool, "str": str}
+
+
 @dataclass(frozen=True, slots=True)
 class GameConfig:
     """All scenario constants for one simulated cell.
@@ -156,14 +161,17 @@ class GameConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the first violated invariant.
 
-        Each field is first checked by its declared type: a float must be
-        finite and above 0, an int at least 1.  doppler may be 0 (a frozen
-        channel) and seed may be 0.
+        Each field is first checked by its declared type (a bool is no number):
+        a float must be finite and above 0, an int at least 1.  doppler may be
+        0 (a frozen channel) and seed may be 0.
         """
         for f in fields(self):
             value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                    isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
             zero_ok = f.name in ("doppler", "seed")
-            if f.type == "float" and not (isinstance(value, (int, float)) and math.isfinite(value)
+            if f.type == "float" and not (math.isfinite(value)
                                           and (value >= 0.0 if zero_ok else value > 0.0)):
                 bound = ">= 0" if zero_ok else "> 0"
                 raise ConfigError(f"{f.name} must be a finite number {bound}, got {value!r}")

@@ -360,7 +360,8 @@ def _best_response_with_target(behavior: BehaviorClass, target: float, x: float 
 # ---------------------------------------------------------------------------
 
 # One follower's measured outcome at one stage.  A repetition is a (T, M)
-# record array of it; a stage is one (M,) row.
+# record array of it; a stage is one (M,) row.  Both start zero-filled, so the
+# padding after outage is zero and equal runs are equal bytes.
 RECORD_DTYPE = np.dtype([("power", float), ("sinr", float), ("pdr", float),
                          ("utility", float), ("price", float), ("outage", bool)], align=True)
 
@@ -430,7 +431,7 @@ def measure_followers(behaviors: tuple[BehaviorClass, ...], targets: list[float]
         prices.append(price)
         # The same subtraction payoff makes, with the price computed once.
         utilities.append(payoff(behavior, None, p, own, interf, target, cfg) - price)
-    record = np.recarray(len(behaviors), RECORD_DTYPE)
+    record = np.zeros(len(behaviors), RECORD_DTYPE).view(np.recarray)
     for name, column in zip(RECORD_DTYPE.names, (powers, sinrs, pdrs, utilities, prices, outages)):
         record[name] = column
     return record
@@ -493,7 +494,7 @@ def play_repetition(cfg: GameConfig, repetition: int, behaviors: list[BehaviorCl
     targets = [class_target_sinr(b, cfg) for b in topology.behaviors]
     pl_amp = path_loss_amplitudes(topology, cfg)
 
-    outcomes = np.recarray((cfg.stages, m), RECORD_DTYPE)
+    outcomes = np.zeros((cfg.stages, m), RECORD_DTYPE).view(np.recarray)
     x, xs, memo = None, [], []
     for t in range(1, cfg.stages + 1):
         # At zero Doppler every oscillator turns by exactly 1+0j, so stage 1's gains hold.

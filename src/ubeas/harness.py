@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .channel import CellTopology, run_blocks_serially
+from . import link
+from .channel import CellTopology
 from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig
 from .game import (
     StageRecord,
@@ -201,9 +202,7 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
     # A forking pool starts every worker at its first submit: one per repetition is enough.
     jobs = min(jobs, len(tasks))
     if jobs > 1:
-        # The workers fill the cores, so each runs its fading blocks serially.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
-                                                    initializer=run_blocks_serially) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             trajectories = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         trajectories = [_run_one(task) for task in tasks]
@@ -217,16 +216,15 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
 def _follower_audits(behaviors: tuple[BehaviorClass, ...], x: float | None, powers: np.ndarray,
                      gains: np.ndarray, cfg: GameConfig) -> Iterator[tuple[float, float, Callable]]:
     """Per follower, against the others' powers: (lowest feasible power, payoff
-    at its own power, payoff at every power of an array).
+    at its own power, payoff at every power of an array).  The interference is
+    link.interference_all's, as play_stage computes it.
 
     The own power goes through the grid's payoff: math.exp and np.exp differ
     in the last bit, which at a deep fade's -1e244 is a false gain of 1e228.
     """
-    for i, behavior in enumerate(behaviors):
-        interference = float(
-            powers @ gains[:, i] - powers[i] * gains[i, i] + cfg.noise_power
-        )
-        own = float(gains[i, i])
+    interferences = link.interference_all(powers, gains, cfg.noise_power).tolist()
+    for i, (behavior, own, interference) in enumerate(
+            zip(behaviors, np.diagonal(gains).tolist(), interferences)):
         target = class_target_sinr(behavior, cfg)
         lo, _ = feasible_floor(target, own, interference, cfg)
         on_grid = partial(_payoff_on_grid, behavior, x, own_gain=own, interference=interference,
@@ -337,22 +335,10 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20) -> Pareto
 # CSV emission.
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return ""
-    return repr(value)
-
-
-def _cells(values: np.ndarray) -> list[str]:
-    """_fmt of every float of an array, in C order, once per distinct bit pattern."""
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+def _cells(values) -> list[str]:
+    """The CSV cell of every float of a sequence or array, in C order: its repr,
+    or an empty cell for NaN; formatted once per distinct bit pattern."""
+    bits, index = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
     texts = np.array(["" if v != v else repr(v) for v in bits.view(float).tolist()], dtype=object)
     return texts[index.ravel()].tolist()
 
@@ -394,7 +380,7 @@ def _trajectory_blocks(trajectories: list[Trajectory]) -> Iterator[list[str]]:
 def _summary_tables(summary: ExperimentSummary) -> Iterator[tuple[str, str, list[str]]]:
     """(file name, header, lines) of summary.csv, the three wide per-stage files and long.csv."""
     def row(metric: str, label: str, values: dict | None) -> str:
-        cells = ["" if values is None else _fmt(values.get(b)) for b in CLASS_ORDER]
+        cells = _cells([(values or {}).get(b, math.nan) for b in CLASS_ORDER])   # none: NaN
         return ",".join([metric, label] + cells)
 
     power = "mean transmit power (dBm)"
@@ -405,7 +391,7 @@ def _summary_tables(summary: ExperimentSummary) -> Iterator[tuple[str, str, list
     rows += [row(power, "overall", summary.mean_power_dbm),
              row("mean PDR", "overall", summary.mean_pdr),
              row("power standard error (dB)", "overall", summary.se_power_db),
-             f"outage rate,overall,{_fmt(summary.outage_rate)},,"]
+             f"outage rate,overall,{_cells([summary.outage_rate])[0]},,"]
     yield "summary.csv", "metric,row,casual,intermediate,serious", rows
 
     # Each wide file's columns as (long.csv series name, per-stage values or
@@ -418,13 +404,14 @@ def _summary_tables(summary: ExperimentSummary) -> Iterator[tuple[str, str, list
          [(f"{b.label}_pdr", summary.stage_class_pdr.get(b)) for b in CLASS_ORDER]),
     )
     t = [str(k) for k in range(1, summary.stages + 1)]
+    # Each present series is formatted once, for its wide file and long.csv.
+    texts = {series: _cells(values) for _, _, columns in wide
+             for series, values in columns if values is not None}
     for name, header, columns in wide:
-        cells = [[""] * len(t) if values is None else [_fmt(v) for v in values]
-                 for _, values in columns]
+        cells = [texts.get(series, [""] * len(t)) for series, _ in columns]
         yield name, header, list(map(",".join, zip(t, *cells)))
     yield "long.csv", "series,t,value", [
-        f"{series},{k},{_fmt(v)}" for _, _, columns in wide
-        for series, values in columns if values is not None for k, v in zip(t, values)]
+        f"{series},{k},{v}" for series, cells in texts.items() for k, v in zip(t, cells)]
 
 
 def emit_outputs(summary: ExperimentSummary, trajectories: list[Trajectory],
@@ -449,5 +436,7 @@ def dump_topology_csv(topology: CellTopology, path: Path | str) -> Path | str:
     for i, b in enumerate(topology.behaviors):
         points += [(f"tx_{i}", topology.tx_positions[i], b.label),
                    (f"rx_{i}", topology.rx_positions[i], b.label)]
+    xy = _cells([position for _, position, _ in points])
     return _write_csv(path, "entity,x_m,y_m,class",
-                      [[f"{name},{_fmt(x)},{_fmt(y)},{label}" for name, (x, y), label in points]])
+                      [[f"{name},{x},{y},{label}"
+                        for (name, _, label), x, y in zip(points, xy[0::2], xy[1::2])]])

@@ -1,5 +1,7 @@
 import concurrent.futures
 import math
+import multiprocessing
+import os
 import sys
 import threading
 
@@ -173,10 +175,10 @@ class CountingThreadPool(concurrent.futures.ThreadPoolExecutor):
 
 
 def blocked_amplitudes(monkeypatch, threads, shape, n_osc, doppler, advances):
-    """Amplitudes of a FadingState in 3-row blocks run on the given number of threads;
+    """Amplitudes of a FadingState in 3-row blocks run on as many threads as cores;
     also the number of thread pools it started."""
     monkeypatch.setattr(channel, "_BLOCK_OSCILLATORS", 3 * shape[1] * n_osc)
-    monkeypatch.setattr(channel, "_block_threads", threads)
+    monkeypatch.setattr(channel, "_CORES", threads)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingThreadPool)
     CountingThreadPool.started = 0
     fading = FadingState(shape, n_osc, doppler, rng_streams(21, 2).fading)
@@ -217,10 +219,22 @@ def test_threaded_blocks_equal_serial_blocks_and_leave_no_thread(monkeypatch, do
 
 
 def test_one_block_starts_no_thread_pool(monkeypatch):
-    monkeypatch.setattr(channel, "_block_threads", 4)
+    monkeypatch.setattr(channel, "_CORES", 4)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingThreadPool)
     CountingThreadPool.started = 0
     fading = FadingState((24, 24), 16, 0.01, rng_streams(3, 0).fading)
     fading.advance()
     assert len(fading._blocks) == 1
     assert CountingThreadPool.started == 0
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_a_pool_worker_runs_its_blocks_serially(method):
+    # The workers fill the cores; the parent has one thread per core, before and after a pool.
+    args = ((3, 3), 2, 0.0, rng_streams(5, 0).fading)
+    assert channel._CORES == len(os.sched_getaffinity(0))
+    assert FadingState(*args)._threads == channel._CORES
+    context = multiprocessing.get_context(method)
+    with concurrent.futures.ProcessPoolExecutor(2, mp_context=context) as pool:
+        assert pool.submit(FadingState, *args).result(timeout=120)._threads == 1
+    assert FadingState(*args)._threads == channel._CORES

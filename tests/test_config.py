@@ -147,6 +147,24 @@ def test_int_field_rejects_the_value_below_its_floor(name):
         GameConfig(**{name: below})
 
 
+@pytest.mark.parametrize("name,value", [
+    ("stages", 2.5), ("seed", 1.5), ("jakes_oscillators", 2.5), ("repetitions", 1.5),
+    ("num_pairs", 6.0), ("num_pairs", np.float64(6.0)), ("stages", True), ("seed", False),
+    ("num_pairs", "6"), ("doppler", False), ("cell_radius", True), ("p_max", "0.1"),
+    ("cell_radius", 3 + 0j), ("priority_mode", "no"), ("priority_mode", 1),
+    ("npc_rerandomize", np.True_), ("modulation", 16), ("modulation", None),
+])
+def test_field_of_the_wrong_type_is_rejected(name, value):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be of type "):
+        GameConfig(**{name: value})
+
+
+def test_numpy_numbers_and_int_floats_are_accepted():
+    cfg = GameConfig(num_pairs=np.int64(6), seed=np.uint32(3), cell_radius=400,
+                     doppler=np.float64(0.0), p_max=np.float32(0.125))
+    assert (cfg.num_pairs, cfg.seed, cfg.cell_radius) == (6, 3, 400)
+
+
 def test_config_round_trips_through_dump():
     cfg = GameConfig()
     assert load_config(dump_config(cfg)) == cfg

@@ -702,7 +702,9 @@ def test_memo_hit_returns_a_copy_of_the_stored_row():
     first = game.play_stage(behaviors, targets, 1.0, reference, gains, cfg, memo)
     second = game.play_stage(behaviors, targets, 1.0, reference, gains, cfg, memo)
     assert len(memo) == 1
-    for field in RECORD_DTYPE.names:   # the aligned dtype's padding bytes are not zeroed
+    # Field by field: a memo hit is an ndarray.copy(), which copies an aligned
+    # record array field by field and leaves the copy's padding bytes unset.
+    for field in RECORD_DTYPE.names:
         assert second[field].tobytes() == first[field].tobytes(), field
     assert second is not memo[0][3] and first is not memo[0][3]
     second.power[:] = cfg.p_max

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubeas import harness, link
-from ubeas.channel import run_blocks_serially
 from ubeas.config import BehaviorClass, ConfigError, GameConfig, watts_to_dbm
 from ubeas.game import (
     RECORD_DTYPE,
@@ -27,7 +26,6 @@ from ubeas.game import (
 from ubeas.harness import (
     TRAJECTORY_HEADER,
     WRITE_ROWS,
-    _fmt,
     check_epsilon_nash,
     check_pareto_convergence,
     emit_outputs,
@@ -209,9 +207,11 @@ def scalar_nash_oracle(record, gains, cfg, epsilon, grid_points):
     Returns (passed, worst_follower, follower_gains, leader_ok).
     """
     powers = record.outcomes.power.copy()
+    # The engine's interference, which check_epsilon_nash audits.
+    interferences = link.interference_all(powers, gains, cfg.noise_power).tolist()
     deviation_gains = []
     for i, behavior in enumerate(record.behaviors):
-        interference = float(powers @ gains[:, i] - powers[i] * gains[i, i] + cfg.noise_power)
+        interference = interferences[i]
         own = float(gains[i, i])
         target = class_target_sinr(behavior, cfg)
         p_req = required_power(target, own, interference)
@@ -372,9 +372,8 @@ def test_pool_never_gets_more_workers_than_repetitions(monkeypatch):
     seen = []
 
     class InlinePool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             seen.append(max_workers)
-            assert initializer is run_blocks_serially
 
         def __enter__(self):
             return self
@@ -403,7 +402,7 @@ def test_threaded_fading_then_a_forked_pool_in_one_process():
         "from ubeas.config import GameConfig\n"
         "from ubeas.harness import run_experiment\n"
         "channel._BLOCK_OSCILLATORS = 2 * 6 * 16\n"
-        "channel._block_threads = 2\n"
+        "channel._CORES = 2\n"
         "cfg = GameConfig(num_pairs=6, stages=5, repetitions=2)\n"
         "_, serial = run_experiment(cfg, 'ubeas', jobs=1)\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
@@ -420,6 +419,34 @@ def test_threaded_fading_then_a_forked_pool_in_one_process():
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "equal"
+
+
+@pytest.mark.parametrize("game", ["ubeas", "npc"])
+def test_equal_runs_give_equal_outcome_bytes(game):
+    # the aligned records' padding is zero-filled too, so whole rows compare
+    cfg = dataclasses.replace(SMALL, stages=5)
+    first, second = (harness.GAMES[game](cfg, repetition=1) for _ in range(2))
+    assert first.outcomes.tobytes() == second.outcomes.tobytes()
+    _, serial = run_experiment(cfg, game, jobs=1)
+    _, pooled = run_experiment(cfg, game, jobs=2)
+    assert [t.outcomes.tobytes() for t in serial] == [t.outcomes.tobytes() for t in pooled]
+
+
+def test_audits_use_the_engines_interference_bit_for_bit(monkeypatch):
+    cfg = GameConfig(doppler=0.0, seed=1007, repetitions=1, stages=600)
+    traj = run_game(cfg)
+    audit, equal = harness._follower_audits, []
+
+    def recording_audits(behaviors, x, powers, gains, cfg):
+        audits = list(audit(behaviors, x, powers, gains, cfg))
+        used = np.array([on_grid.keywords["interference"] for _, _, on_grid in audits])
+        equal.append(used.tobytes() == link.interference_all(powers, gains, cfg.noise_power).tobytes())
+        return iter(audits)
+
+    monkeypatch.setattr(harness, "_follower_audits", recording_audits)
+    check_epsilon_nash(traj.records[-1], traj.final_gains, cfg)
+    check_pareto_convergence(traj)
+    assert equal == [True, True]
 
 
 def test_check_epsilon_nash_outage_follower_gains_nothing():
@@ -575,6 +602,20 @@ def test_summarize_matches_scalar_loop_bit_for_bit(game, fields, transform):
             assert got == want, name
     if fields.get("noise_power") == 1e-3:
         assert summary.mean_pdr == {} and summary.outage_rate == 1.0
+
+
+def _fmt(value) -> str:
+    """One CSV cell as the row-by-row writer formats it."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    value = float(value)
+    if math.isnan(value):
+        return ""
+    return repr(value)
 
 
 def scalar_trajectory_csv(trajectories):
