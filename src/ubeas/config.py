@@ -152,6 +152,13 @@ class GameConfig:
     npc_rerandomize: bool = True          # baseline redraws its planning powers each stage
 
     def __post_init__(self) -> None:
+        # A numpy number is held as a Python int or float: under numpy's scalar
+        # rules a float32 p_max makes every bisection midpoint float32, too
+        # coarse ever to narrow to br_tolerance.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (np.integer, np.floating)) and isinstance(value, _FIELD_TYPES[f.type]):
+                object.__setattr__(self, f.name, float(value) if f.type == "float" else int(value))
         self.validate()
 
     @property

@@ -17,6 +17,7 @@ from ubeas.config import (
     rng_streams,
     watts_to_dbm,
 )
+from ubeas.game import run_game
 from ubeas.link import MODULATIONS, pdr_from_sinr, target_sinr
 
 
@@ -162,7 +163,19 @@ def test_field_of_the_wrong_type_is_rejected(name, value):
 def test_numpy_numbers_and_int_floats_are_accepted():
     cfg = GameConfig(num_pairs=np.int64(6), seed=np.uint32(3), cell_radius=400,
                      doppler=np.float64(0.0), p_max=np.float32(0.125))
-    assert (cfg.num_pairs, cfg.seed, cfg.cell_radius) == (6, 3, 400)
+    assert (cfg.num_pairs, cfg.seed, cfg.cell_radius, cfg.p_max) == (6, 3, 400, 0.125)
+    # numpy numbers are held as Python numbers, so the config dumps and loads back
+    assert [type(v) for v in (cfg.num_pairs, cfg.seed, cfg.doppler, cfg.p_max)] == [int, int, float, float]
+    assert load_config(dump_config(cfg)) == cfg
+
+
+def test_float32_p_max_runs():
+    # Held as float32, p_max made every bisection midpoint float32, whose step
+    # near 0.2 W exceeds br_tolerance: the first interior best response never ended.
+    cfg = GameConfig(stages=20, doppler=0.0, p_max=np.float32(0.1995))
+    powers = run_game(cfg).outcomes.power
+    assert powers.dtype == np.float64 and np.all(powers <= cfg.p_max)
+    assert np.any((powers > cfg.p_min) & (powers < cfg.p_max))
 
 
 def test_config_round_trips_through_dump():

@@ -207,11 +207,17 @@ def scalar_nash_oracle(record, gains, cfg, epsilon, grid_points):
     Returns (passed, worst_follower, follower_gains, leader_ok).
     """
     powers = record.outcomes.power.copy()
-    # The engine's interference, which check_epsilon_nash audits.
+    # check_epsilon_nash audits the engine's interference, checked here against an
+    # exact sum over the other transmitters.  The engine subtracts the own signal
+    # from the whole received power, so the two agree to a few ulps of that power
+    # (up to 600 ulps of the interference), and a gain of 1e4 would carry the gap.
     interferences = link.interference_all(powers, gains, cfg.noise_power).tolist()
     deviation_gains = []
     for i, behavior in enumerate(record.behaviors):
         interference = interferences[i]
+        received = [float(p * g) for p, g in zip(powers, gains[:, i])] + [cfg.noise_power]
+        others = math.fsum(received[:i] + received[i + 1:])
+        assert abs(interference - others) <= len(powers) * math.ulp(math.fsum(received))
         own = float(gains[i, i])
         target = class_target_sinr(behavior, cfg)
         p_req = required_power(target, own, interference)
