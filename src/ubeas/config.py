@@ -77,11 +77,15 @@ def assign_behavior_classes(m_pairs: int) -> list[BehaviorClass]:
     Requires m_pairs divisible by 3 so every class holds exactly m_pairs/3
     transmitters.
     """
+    _check_even_split(m_pairs)
+    return [CLASS_ORDER[i % 3] for i in range(m_pairs)]
+
+
+def _check_even_split(m_pairs: int) -> None:
     if m_pairs <= 0 or m_pairs % 3 != 0:
         raise ConfigError(
             f"pair count must be a positive multiple of 3 for an even class split, got {m_pairs}"
         )
-    return [CLASS_ORDER[i % 3] for i in range(m_pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +182,22 @@ class GameConfig:
                     isinstance(value, bool) and f.type != "bool"):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
             zero_ok = f.name in ("doppler", "seed")
-            if f.type == "float" and not (math.isfinite(value)
+            if f.type == "float" and not (_is_finite(value)
                                           and (value >= 0.0 if zero_ok else value > 0.0)):
                 bound = ">= 0" if zero_ok else "> 0"
                 raise ConfigError(f"{f.name} must be a finite number {bound}, got {value!r}")
             if f.type == "int" and value < (0 if zero_ok else 1):
                 raise ConfigError(f"{f.name} must be >= {0 if zero_ok else 1}, got {value}")
-        assign_behavior_classes(self.num_pairs)   # the even class split every run draws
+        _check_even_split(self.num_pairs)   # the class split every run draws
+        # The outcome records of all repetitions are held at once: their bytes
+        # must be an array size the platform can index.
+        from .game import RECORD_DTYPE   # here: game imports this module
+        largest = np.iinfo(np.intp).max
+        if self.repetitions * self.stages * self.num_pairs * RECORD_DTYPE.itemsize > largest:
+            raise ConfigError(
+                f"repetitions x stages x num_pairs = {self.repetitions} x {self.stages} x "
+                f"{self.num_pairs} outcome records of {RECORD_DTYPE.itemsize} bytes exceed "
+                f"the largest array, {largest} bytes")
         if not math.isfinite(8.0 * self.cell_radius * self.cell_radius):
             # Both coordinates of a tx-rx separation lie within 2 * cell_radius.
             raise ConfigError(f"cell_radius = {self.cell_radius!r} m is too large: "
@@ -247,6 +260,14 @@ class GameConfig:
                     * (self.reference_distance / distance) ** (self.path_loss_exponent / 2.0)) ** 2
         except OverflowError:
             return math.inf
+
+
+def _is_finite(value) -> bool:
+    """math.isfinite, with an int too large for a float counted as infinite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # Keys accepted in config files, mirroring the GameConfig field names.

@@ -29,23 +29,30 @@ the feasible set [max(p_min, p_req), p_max] with p_req = g_bar * I / g_own;
 if even p_max cannot reach the target the follower transmits at p_max and is
 flagged as in outage.
 
-A repetition's state is x and the (M,) power array: play_stage maps them and
-the gains to the stage's (M,) outcome row.  The NPC baseline (``npc``) is the
-same follower game with no leader and no price (x is None); both games run on
-play_stage and play_repetition.
+A block of B repetitions is played in lockstep.  Its state is x, one float
+per stage (the leader's recursion does not depend on the powers), and the
+(B, M) power array: play_stages maps them and the (B, M, M) gains to the
+stage's (B, M) outcome rows.  Every per-pair step runs as numpy arithmetic
+over the block, with libm's exp, log and pow element by element, since
+numpy's SIMD kernels differ from libm in the last bit and these values reach
+the CSVs.  Only pairs whose optimum lies inside their feasible set bisect, one
+at a time.  The NPC baseline (``npc``) is the same follower game with no
+leader and no price (x is None); both games run on play_stages and
+play_repetitions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
 from . import link
 from .channel import CellTopology, FadingState, gain_matrix, generate_topology, path_loss_amplitudes
-from .config import BehaviorClass, GameConfig, behavior_target_pdr, rng_streams
+from .config import CLASS_ORDER, BehaviorClass, GameConfig, behavior_target_pdr, rng_streams
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +251,48 @@ def _gradient_fn(behavior: BehaviorClass, target: float, x: float | None, own_ga
     return gradient
 
 
+def _libm(fn: Callable[..., float], values: np.ndarray, *args: float) -> np.ndarray:
+    """fn(v, *args) for every v of a 1-D array, through libm as the scalar code
+    calls it; numpy's SIMD exp, log and power differ from it in the last bit."""
+    return np.fromiter(map(fn, values.tolist(), *map(repeat, args)), float, len(values))
+
+
+def _price_log_yz(p: np.ndarray, cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """y - p/z and its logarithm at every power of a 1-D array, with the price's domain guard."""
+    yz = cfg.y - p / cfg.z
+    if (yz <= 1.0).any():
+        raise ValueError(f"price undefined: y - p/z = {float(yz.min())} must exceed 1")
+    return yz, _libm(math.log, yz)
+
+
+def _gradients(p: np.ndarray, serious: np.ndarray, target: np.ndarray, own_gain: np.ndarray,
+               interference: np.ndarray, log_qx: float | None, cfg: GameConfig) -> np.ndarray:
+    """_gradient_fn's value for 1-D arrays of intermediate and serious pairs
+    (serious marks the serious ones); log_qx is None for the leaderless game.
+
+    The same operations in the same order, with libm's pow and exp, so every
+    element has the scalar's bits.
+    """
+    gamma = p * own_gain / interference
+    value = np.empty_like(p)
+    mid = ~serious
+    g, pm = gamma[mid], p[mid]
+    value[mid] = -cfg.s + 2.0 * cfg.c * g * (target[mid] - g) / pm
+    mod = cfg.modulation_params
+    gamma_b = _libm(pow, gamma[serious], mod.b)
+    exponent = -cfg.v * mod.a * gamma_b
+    fade = exponent > 700.0
+    slope = np.full(len(gamma_b), math.inf)
+    ps, gb = p[serious][~fade], gamma_b[~fade]
+    slope[~fade] = (-cfg.w * _libm(pow, ps, cfg.w - 1.0)
+                    + cfg.h_i * cfg.v * mod.a * mod.b * gb * _libm(math.exp, exponent[~fade]) / ps)
+    value[serious] = slope
+    if log_qx is None:
+        return value
+    yz, log_yz = _price_log_yz(p, cfg)
+    return value - cfg.delta / (cfg.z * yz * log_qx * log_yz * log_yz)
+
+
 def follower_utility(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
                      interference: float, cfg: GameConfig) -> float:
     """Utility of one follower with the interference treated as fixed.
@@ -267,7 +316,7 @@ def follower_utility_gradient(behavior: BehaviorClass, x: float | None, p: float
 
 
 # ---------------------------------------------------------------------------
-# Concave scalar maximization on the feasible power set.
+# Best response on the feasible power set.
 # ---------------------------------------------------------------------------
 
 def maximize_concave(utility: Callable[[float], float], gradient: Callable[[float], float],
@@ -280,8 +329,12 @@ def maximize_concave(utility: Callable[[float], float], gradient: Callable[[floa
     """
     if hi - lo <= tol:
         return lo
-    g_lo = gradient(lo)
-    g_hi = gradient(hi)
+    return _argmax_from_end_slopes(utility, gradient, lo, hi, gradient(lo), gradient(hi), tol)
+
+
+def _argmax_from_end_slopes(utility: Callable[[float], float], gradient: Callable[[float], float],
+                            lo: float, hi: float, g_lo: float, g_hi: float, tol: float) -> float:
+    """maximize_concave once the gradient at both ends, g_lo and g_hi, is known."""
     if g_lo <= 0.0 and g_hi <= 0.0:
         return lo
     if g_lo >= 0.0 and g_hi >= 0.0:
@@ -306,17 +359,17 @@ def required_power(target: float, own_gain: float, interference: float) -> float
     return target * interference / own_gain
 
 
-def feasible_floor(target: float, own_gain: float, interference: float,
-                   cfg: GameConfig) -> tuple[float, bool]:
-    """Lowest power of the feasible set [max(p_min, p_req), p_max], plus an outage flag.
+def feasible_floor(target, own_gain, interference,
+                   cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest power of the feasible set [max(p_min, p_req), p_max], plus an outage
+    flag, element by element over scalars or arrays.
 
     When even p_max cannot reach the target the set shrinks to {p_max} and
-    the pair is in outage.
+    the pair is in outage.  fmax, like max(p_min, p_req), ignores a NaN p_req.
     """
     p_req = required_power(target, own_gain, interference)
-    if p_req > cfg.p_max:
-        return cfg.p_max, True
-    return max(cfg.p_min, p_req), False
+    outage = p_req > cfg.p_max
+    return np.where(outage, cfg.p_max, np.fmax(cfg.p_min, p_req)), outage
 
 
 def follower_best_response(behavior: BehaviorClass, x: float | None, own_gain: float,
@@ -326,33 +379,58 @@ def follower_best_response(behavior: BehaviorClass, x: float | None, own_gain: f
     The feasible set is [max(p_min, p_req), p_max]; when p_req exceeds p_max
     the follower transmits at p_max and is flagged as in outage.  With x None
     (no price) the casual utility is constant in its own power, so the whole
-    feasible set is optimal and the minimum feasible power is chosen.
+    feasible set is optimal and the minimum feasible power is chosen.  One
+    element of the stage engine's best responses.
     """
     if own_gain <= 0.0:
         raise ValueError(f"own-link gain must be positive, got {own_gain}")
     if interference <= 0.0:
         raise ValueError(f"interference plus noise must be positive, got {interference}")
+    powers, outages = _best_responses(
+        np.array([CLASS_ORDER.index(behavior)]), np.array([class_target_sinr(behavior, cfg)]), x,
+        np.array([own_gain], dtype=float), np.array([interference], dtype=float), cfg)
+    return float(powers[0]), bool(outages[0])
+
+
+def _best_responses(classes: np.ndarray, targets: np.ndarray, x: float | None,
+                    own_gain: np.ndarray, interference: np.ndarray,
+                    cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """follower_best_response of every element of 1-D arrays of pairs; classes
+    holds CLASS_ORDER indices.
+
+    The gradient at both ends of every solved pair's feasible set is taken at
+    once, which settles most pairs at an end; only the rest run
+    maximize_concave's bisection, one at a time.
+    """
     log_qx = None if x is None else _log_qx(x, cfg)
-    target = class_target_sinr(behavior, cfg)
-    return _best_response_with_target(behavior, target, x, own_gain, interference, cfg, log_qx)
-
-
-def _best_response_with_target(behavior: BehaviorClass, target: float, x: float | None,
-                               own_gain: float, interference: float, cfg: GameConfig,
-                               log_qx: float | None) -> tuple[float, bool]:
-    lo, outage = feasible_floor(target, own_gain, interference, cfg)
-    if outage or behavior is BehaviorClass.CASUAL:
-        # In outage the feasible set is {p_max}.  The casual performance term
-        # (g_bar/g)*p = g_bar*I/g_own does not depend on the own power and
-        # the price only rises with it, so the lowest feasible power is the
-        # best response: Yates' standard interference function (IEEE JSAC 1995).
-        return lo, outage
-    power = maximize_concave(
-        lambda p: payoff(behavior, x, p, own_gain, interference, target, cfg),
-        _gradient_fn(behavior, target, x, own_gain, interference, cfg, log_qx),
-        lo, cfg.p_max, cfg.br_tolerance,
-    )
-    return power, False
+    powers, outages = feasible_floor(targets, own_gain, interference, cfg)
+    # In outage the feasible set is {p_max}.  The casual performance term
+    # (g_bar/g)*p = g_bar*I/g_own does not depend on the own power and the
+    # price only rises with it, so the lowest feasible power is the best
+    # response: Yates' standard interference function (IEEE JSAC 1995).
+    solve = np.flatnonzero(~outages & (classes != CLASS_ORDER.index(BehaviorClass.CASUAL))
+                           & ~(cfg.p_max - powers <= cfg.br_tolerance))
+    if not solve.size:
+        return powers, outages
+    lo = powers[solve]
+    pairs = (classes[solve] == CLASS_ORDER.index(BehaviorClass.SERIOUS), targets[solve],
+             own_gain[solve], interference[solve], log_qx, cfg)
+    g_lo = _gradients(lo, *pairs)
+    g_hi = _gradients(np.full(len(lo), cfg.p_max), *pairs)
+    falling = (g_lo <= 0.0) & (g_hi <= 0.0)
+    rising = ~falling & (g_lo >= 0.0) & (g_hi >= 0.0)
+    powers[solve[rising]] = cfg.p_max
+    rest = np.flatnonzero(~falling & ~rising)
+    for i, target, own, interf, p_lo, g_l, g_h in zip(
+            solve[rest].tolist(), targets[solve[rest]].tolist(), own_gain[solve[rest]].tolist(),
+            interference[solve[rest]].tolist(), lo[rest].tolist(), g_lo[rest].tolist(),
+            g_hi[rest].tolist()):
+        behavior = CLASS_ORDER[classes[i]]
+        powers[i] = _argmax_from_end_slopes(
+            lambda p: payoff(behavior, x, p, own, interf, target, cfg),
+            _gradient_fn(behavior, target, x, own, interf, cfg, log_qx),
+            p_lo, cfg.p_max, g_l, g_h, cfg.br_tolerance)
+    return powers, outages
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +438,9 @@ def _best_response_with_target(behavior: BehaviorClass, target: float, x: float 
 # ---------------------------------------------------------------------------
 
 # One follower's measured outcome at one stage.  A repetition is a (T, M)
-# record array of it; a stage is one (M,) row.  Both start zero-filled, so the
-# padding after outage is zero and equal runs are equal bytes.
+# record array of it; a stage is one (M,) row.  Every record array starts
+# zero-filled and record copies go into zero-filled arrays, so the padding
+# after outage is zero and equal runs are equal bytes.
 RECORD_DTYPE = np.dtype([("power", float), ("sinr", float), ("pdr", float),
                          ("utility", float), ("price", float), ("outage", bool)], align=True)
 
@@ -415,103 +494,179 @@ def class_means(record: StageRecord) -> tuple[dict, dict]:
     return power_dbm, mean_pdr
 
 
-def measure_followers(behaviors: tuple[BehaviorClass, ...], targets: list[float],
-                      x: float | None, powers: np.ndarray, gains: np.ndarray,
-                      outages: tuple[bool, ...], cfg: GameConfig) -> np.recarray:
-    """SINR, PDR, utility and price at the powers just selected, as an (M,) record array."""
-    interference = link.interference_all(powers, gains, cfg.noise_power)
-    sinrs = powers * np.diagonal(gains) / interference
+def measure_followers(classes: np.ndarray, targets: np.ndarray, x: float | None,
+                      powers: np.ndarray, own_gain: np.ndarray, interference: np.ndarray,
+                      outages: np.ndarray, cfg: GameConfig) -> np.recarray:
+    """SINR, PDR, utility and price at the powers just selected, one record per
+    element of 1-D arrays of pair-stages; classes holds CLASS_ORDER indices and
+    interference is that of the selected powers.
+
+    Each value is the one payoff, satisfaction_price and link.pdr_from_sinr
+    give for its element: the same operations, with libm's exp, log and pow.
+    """
+    sinrs = powers * own_gain / interference
+    if (sinrs <= 0.0).any():
+        raise ValueError(f"SINR must be positive, got {float(sinrs.min())}")
     mod = cfg.modulation_params
-    pdrs, utilities, prices = [], [], []
-    for behavior, target, p, gamma, own, interf in zip(
-            behaviors, targets, powers.tolist(), sinrs.tolist(), np.diagonal(gains).tolist(),
-            interference.tolist()):
-        pdrs.append(link.pdr_from_sinr(gamma, mod))
-        price = 0.0 if x is None else satisfaction_price(x, p, cfg)
-        prices.append(price)
-        # The same subtraction payoff makes, with the price computed once.
-        utilities.append(payoff(behavior, None, p, own, interf, target, cfg) - price)
-    record = np.zeros(len(behaviors), RECORD_DTYPE).view(np.recarray)
-    for name, column in zip(RECORD_DTYPE.names, (powers, sinrs, pdrs, utilities, prices, outages)):
+    sinr_b = _libm(pow, sinrs, mod.b)
+    pdrs = _libm(math.exp, mod.a * sinr_b)
+    # payoff's class performance terms, with the price subtracted below
+    utilities = np.empty_like(powers)
+    casual, serious = (classes == CLASS_ORDER.index(b)
+                       for b in (BehaviorClass.CASUAL, BehaviorClass.SERIOUS))
+    mid = ~casual & ~serious
+    utilities[casual] = (targets[casual] / sinrs[casual]) * powers[casual]
+    err = targets[mid] - sinrs[mid]
+    utilities[mid] = -cfg.s * powers[mid] - cfg.c * err * err
+    exponent = -cfg.v * mod.a * sinr_b[serious]
+    fade = exponent > 700.0
+    value = np.full(len(exponent), -math.inf)
+    ps = powers[serious][~fade]
+    value[~fade] = -_libm(pow, ps, cfg.w) - cfg.h_i * _libm(math.exp, exponent[~fade])
+    utilities[serious] = value
+    prices = np.zeros_like(powers)
+    if x is not None:
+        _, log_yz = _price_log_yz(powers, cfg)
+        prices = cfg.delta / (_log_qx(x, cfg) * log_yz)
+    record = np.zeros(len(powers), RECORD_DTYPE).view(np.recarray)
+    for name, column in zip(RECORD_DTYPE.names,
+                            (powers, sinrs, pdrs, utilities - prices, prices, outages)):
         record[name] = column
     return record
+
+
+def _block_interference(powers: np.ndarray, gains: np.ndarray, noise: float) -> np.ndarray:
+    """link.interference_all of every row of a block: (B, M) powers on (B, M, M) gains."""
+    own = np.diagonal(gains, axis1=1, axis2=2)
+    return np.matmul(powers[:, None, :], gains)[:, 0, :] - powers * own + noise
+
+
+def _solve_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: float | None,
+                 reference_powers: np.ndarray, gains: np.ndarray, cfg: GameConfig) -> np.recarray:
+    """Best responses of (K, M) rows to their reference powers' interference,
+    then the (K, M) outcome records."""
+    shape = reference_powers.shape
+    classes = np.tile([CLASS_ORDER.index(b) for b in behaviors], shape[0])
+    pair_targets = np.tile(np.asarray(targets, dtype=float), shape[0])
+    own = np.diagonal(gains, axis1=1, axis2=2).ravel()
+    powers, outages = _best_responses(
+        classes, pair_targets, x, own,
+        _block_interference(reference_powers, gains, cfg.noise_power).ravel(), cfg)
+    interference = _block_interference(powers.reshape(shape), gains, cfg.noise_power).ravel()
+    return measure_followers(classes, pair_targets, x, powers, own, interference, outages,
+                             cfg).reshape(shape)
+
+
+def play_stages(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: float | None,
+                reference_powers: np.ndarray, gains: np.ndarray, cfg: GameConfig,
+                memos: list[list] | None = None) -> np.ndarray:
+    """Best responses to the interference of a block's (B, M) reference_powers
+    on its (B, M, M) gains, then the (B, M) RECORD_DTYPE outcome rows.
+
+    x is the leader's satisfaction, one for the whole block, or None for the
+    leaderless game.  memos holds one list per row: x, the bytes of the row's
+    reference powers and gains, and its outcomes, for the row's last two
+    stages.  The outcomes depend on nothing else, so a row whose key repeats
+    is a copy, and only the rows that miss are solved.
+    """
+    shape = reference_powers.shape
+    if memos is None:
+        memos = [[] for _ in range(shape[0])]
+    outcomes = np.zeros(shape, RECORD_DTYPE)
+    keys = [(x, p.tobytes(), g.tobytes()) for p, g in zip(reference_powers, gains)]
+    miss = []
+    for r, (key, memo) in enumerate(zip(keys, memos)):
+        hit = next((row for *stored, row in memo if tuple(stored) == key), None)
+        if hit is None:
+            miss.append(r)
+        else:
+            outcomes[r] = hit
+    if miss:
+        rows = miss if len(miss) < shape[0] else slice(None)
+        # Python's float arithmetic: a division by zero raises, an overflow is silent.
+        with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+            outcomes[rows] = _solve_stage(behaviors, targets, x, reference_powers[rows],
+                                          gains[rows], cfg)
+        stored = np.zeros((len(miss), shape[1]), RECORD_DTYPE)
+        stored[:] = outcomes[rows]
+        for r, row in zip(miss, stored):
+            memos[r][:] = [keys[r] + (row,)] + memos[r][:1]
+    return outcomes
 
 
 def play_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: float | None,
                reference_powers: np.ndarray, gains: np.ndarray, cfg: GameConfig,
                memo: list | None = None) -> np.recarray:
-    """Best responses to the interference of reference_powers, then the (M,) outcome row.
-
-    x is the leader's satisfaction, or None for the leaderless game.  memo keeps
-    x, the bytes of reference_powers and gains, and the outcomes of one pair
-    list's last two stages; the outcomes depend on nothing else, so a repeat
-    is a copy.
-    """
-    powers_key = reference_powers.tobytes()
-    for key_x, key_powers, key_gains, outcomes in memo or ():
-        if key_x == x and key_powers == powers_key and key_gains == gains.tobytes():
-            return outcomes.copy()
-    interference = link.interference_all(reference_powers, gains, cfg.noise_power)
-    log_qx = None if x is None else _log_qx(x, cfg)
-    powers, outages = zip(*(
-        _best_response_with_target(behavior, target, x, own, interf, cfg, log_qx)
-        for behavior, target, own, interf in zip(behaviors, targets, np.diagonal(gains).tolist(),
-                                                 interference.tolist())))
-    outcomes = measure_followers(behaviors, targets, x, np.array(powers), gains, outages, cfg)
-    if memo is not None:
-        memo[:] = [(x, powers_key, gains.tobytes(), outcomes.copy())] + memo[:1]
-    return outcomes
+    """play_stages for one row: (M,) reference_powers, (M, M) gains and that
+    row's memo list; returns the (M,) outcome row."""
+    return play_stages(behaviors, targets, x, reference_powers[None], gains[None], cfg,
+                       None if memo is None else [memo]).view(np.recarray)[0]
 
 
 def run_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x_prev: float | None,
               prev_powers: np.ndarray, gains: np.ndarray, t: int, cfg: GameConfig,
-              memo: list | None = None) -> tuple[float, np.recarray]:
-    """Stage t of the game: the leader's satisfaction and the outcome row.
+              memos: list[list] | None = None) -> tuple[float, np.ndarray]:
+    """Stage t of the game for a block: the leader's satisfaction and the (B, M) outcome rows.
 
     The leader best-responds to x_prev (x_init at t = 1); each follower then
-    best-responds to the interference of prev_powers with the new satisfaction
-    in its price and is measured on the current gains.  memo is play_stage's.
+    best-responds to the interference of its row of prev_powers with the new
+    satisfaction in its price and is measured on the current gains.  memos is
+    play_stages'.
     """
     x = cfg.x_init if t == 1 else leader_best_satisfaction(x_prev, float(t), cfg.x_floor)
-    return x, play_stage(behaviors, targets, x, prev_powers, gains, cfg, memo)
+    return x, play_stages(behaviors, targets, x, prev_powers, gains, cfg, memos)
 
 
-def play_repetition(cfg: GameConfig, repetition: int, behaviors: list[BehaviorClass] | None,
-                    stage: Callable[..., tuple[float | None, np.recarray]]) -> Trajectory:
-    """Simulate one repetition: (x, row) = stage(behaviors, targets, x, powers, gains, t,
-    powers_rng, memo) at t = 1..T, each stage answering the last one's x and powers.
+def play_repetitions(cfg: GameConfig, repetitions: range, behaviors: list[BehaviorClass] | None,
+                     stage: Callable[..., tuple[float | None, np.ndarray]]) -> list[Trajectory]:
+    """Simulate a block of repetitions in lockstep: (x, rows) = stage(behaviors,
+    targets, x, powers, gains, t, powers_rngs, memos) at t = 1..T, each stage
+    answering the last one's x and (B, M) powers.
 
-    Topology, fading and the uniform-random initial powers are drawn from
-    independent substreams of (seed, repetition), so both games with the same
-    seed see the identical channel; the powers substream is left to the stage
-    policy after the initial draw.  memo is the repetition's play_stage memo.
+    Each repetition draws its topology, fading and uniform-random initial
+    powers from independent substreams of (seed, repetition) and keeps its own
+    fading state, so both games with the same seed see the identical channel
+    and a repetition's outcomes do not depend on its block.  The powers
+    substreams, in repetition order, are left to the stage policy after the
+    initial draw.  The outcomes fill one (B, T, M) table; each Trajectory
+    holds its repetition's view of it.
     """
-    rngs = rng_streams(cfg.seed, repetition)
-    topology = generate_topology(cfg, rngs.topology, behaviors)
-    m = topology.num_pairs
-    fading = FadingState((m, m), cfg.jakes_oscillators, cfg.doppler, rngs.fading)
-    powers = rngs.powers.uniform(cfg.p_min, cfg.p_max, size=m)
-    targets = [class_target_sinr(b, cfg) for b in topology.behaviors]
-    pl_amp = path_loss_amplitudes(topology, cfg)
+    rngs = [rng_streams(cfg.seed, rep) for rep in repetitions]
+    topologies = [generate_topology(cfg, r.topology, behaviors) for r in rngs]
+    m = topologies[0].num_pairs
+    fading = [FadingState((m, m), cfg.jakes_oscillators, cfg.doppler, r.fading) for r in rngs]
+    powers = np.array([r.powers.uniform(cfg.p_min, cfg.p_max, size=m) for r in rngs])
+    pairs = topologies[0].behaviors
+    targets = [class_target_sinr(b, cfg) for b in pairs]
+    pl_amps = [path_loss_amplitudes(topology, cfg) for topology in topologies]
+    powers_rngs = [r.powers for r in rngs]
 
-    outcomes = np.zeros((cfg.stages, m), RECORD_DTYPE).view(np.recarray)
-    x, xs, memo = None, [], []
+    table = np.zeros((len(rngs), cfg.stages, m), RECORD_DTYPE)
+    x, xs, memos = None, [], [[] for _ in rngs]
     for t in range(1, cfg.stages + 1):
         # At zero Doppler every oscillator turns by exactly 1+0j, so stage 1's gains hold.
         if t == 1 or cfg.doppler > 0.0:
-            gains = gain_matrix(pl_amp, fading.advance())
-        x, row = stage(topology.behaviors, targets, x, powers, gains, t, rngs.powers, memo)
-        outcomes[t - 1] = row
+            gains = np.array([gain_matrix(pl_amp, state.advance())
+                              for pl_amp, state in zip(pl_amps, fading)])
+        x, rows = stage(pairs, targets, x, powers, gains, t, powers_rngs, memos)
+        table[:, t - 1] = rows
         xs.append(x)
-        powers = row.power.copy()
-    return Trajectory(outcomes, None if x is None else np.array(xs), topology.behaviors,
-                      topology, gains, cfg)
+        powers = rows["power"].copy()
+    table = table.view(np.recarray)
+    return [Trajectory(table[r], None if x is None else np.array(xs), pairs, topology, gains[r],
+                       cfg) for r, topology in enumerate(topologies)]
+
+
+def run_games(cfg: GameConfig, repetitions: range,
+              behaviors: list[BehaviorClass] | None = None) -> list[Trajectory]:
+    """Simulate a block of repetitions of the Stackelberg game, in lockstep."""
+    return play_repetitions(
+        cfg, repetitions, behaviors,
+        lambda pairs, targets, x, powers, gains, t, _rngs, memos: run_stage(
+            pairs, targets, x, powers, gains, t, cfg, memos))
 
 
 def run_game(cfg: GameConfig, repetition: int = 0,
              behaviors: list[BehaviorClass] | None = None) -> Trajectory:
     """Simulate one full repetition of the Stackelberg game."""
-    return play_repetition(
-        cfg, repetition, behaviors,
-        lambda pairs, targets, x, powers, gains, t, _rng, memo: run_stage(
-            pairs, targets, x, powers, gains, t, cfg, memo))
+    return run_games(cfg, range(repetition, repetition + 1), behaviors)[0]

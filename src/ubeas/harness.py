@@ -27,11 +27,17 @@ from .game import (
     feasible_floor,
     leader_utility,
     play_stage,
-    run_game,
+    run_games,
 )
-from .npc import run_npc_game
+from .npc import run_npc_games
 
-GAMES = {"ubeas": run_game, "npc": run_npc_game}
+# Each game plays a block of repetitions in lockstep.
+GAMES = {"ubeas": run_games, "npc": run_npc_games}
+
+# Bytes of fading state one block holds: B * M**2 * jakes_oscillators * 32
+# (oscillators and rotations, 16 bytes each).  At M=24 with 16 oscillators a
+# block holds up to 14 repetitions; from M=65 on, one.
+_BLOCK_FADING_BYTES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -175,37 +181,55 @@ def summarize(trajectories: list[Trajectory]) -> ExperimentSummary:
     )
 
 
-def _run_one(args: tuple[GameConfig, str, int]) -> Trajectory:
-    cfg, kind, rep = args
-    try:
-        return GAMES[kind](cfg, repetition=rep)
-    except ConfigError as exc:
-        raise ConfigError(f"repetition {rep}: {exc}") from exc
-    except (ArithmeticError, ValueError) as exc:
+def _named(exc: Exception, name: str) -> Exception:
+    if isinstance(exc, ConfigError):
+        return ConfigError(f"{name}: {exc}")
+    if isinstance(exc, (ArithmeticError, ValueError)):
         # A validated config passes every domain guard of the model unless its
         # scales push gains, SINR or PDR out of floating-point range.
-        raise ConfigError(f"repetition {rep}: {exc} (numbers out of floating-point range)") from exc
+        return ConfigError(f"{name}: {exc} (numbers out of floating-point range)")
+    return RuntimeError(f"{name} failed: {exc}")
+
+
+def _run_block(args: tuple[GameConfig, str, range]) -> list[Trajectory]:
+    cfg, kind, reps = args
+    try:
+        return GAMES[kind](cfg, reps)
     except Exception as exc:
-        raise RuntimeError(f"repetition {rep} failed: {exc}") from exc
+        if len(reps) > 1:
+            # The rows of a block are independent: replayed one at a time,
+            # the first repetition that fails raises under its own name.
+            for rep in reps:
+                _run_block((cfg, kind, range(rep, rep + 1)))
+            name = f"repetitions {reps[0]}-{reps[-1]}"
+        else:
+            name = f"repetition {reps[0]}"
+        raise _named(exc, name) from exc
 
 
 def run_experiment(cfg: GameConfig, game: str = "ubeas",
                    jobs: int = 1) -> tuple[ExperimentSummary, list[Trajectory]]:
     """Run all repetitions of one game kind and aggregate.
 
-    Deterministic for a fixed seed regardless of jobs; repetitions are always
+    The repetitions are played in contiguous blocks, in lockstep within a
+    block; with jobs > 1 each pool task is one block.  Deterministic for a
+    fixed seed regardless of jobs and blocking; repetitions are always
     aggregated in index order.
     """
     if game not in GAMES:
         raise ValueError(f"unknown game kind {game!r}; expected one of {tuple(GAMES)}")
-    tasks = [(cfg, game, rep) for rep in range(cfg.repetitions)]
+    reps = cfg.repetitions
     # A forking pool starts every worker at its first submit: one per repetition is enough.
-    jobs = min(jobs, len(tasks))
+    jobs = min(jobs, reps)
+    fading_bytes = cfg.num_pairs * cfg.num_pairs * cfg.jakes_oscillators * 32
+    size = min(max(1, _BLOCK_FADING_BYTES // fading_bytes), -(-reps // jobs))
+    tasks = [(cfg, game, range(start, min(start + size, reps))) for start in range(0, reps, size)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            trajectories = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+            blocks = list(pool.map(_run_block, tasks, chunksize=1))
     else:
-        trajectories = [_run_one(task) for task in tasks]
+        blocks = [_run_block(task) for task in tasks]
+    trajectories = [trajectory for block in blocks for trajectory in block]
     return summarize(trajectories), trajectories
 
 
@@ -222,11 +246,12 @@ def _follower_audits(behaviors: tuple[BehaviorClass, ...], x: float | None, powe
     The own power goes through the grid's payoff: math.exp and np.exp differ
     in the last bit, which at a deep fade's -1e244 is a false gain of 1e228.
     """
-    interferences = link.interference_all(powers, gains, cfg.noise_power).tolist()
-    for i, (behavior, own, interference) in enumerate(
-            zip(behaviors, np.diagonal(gains).tolist(), interferences)):
-        target = class_target_sinr(behavior, cfg)
-        lo, _ = feasible_floor(target, own, interference, cfg)
+    targets = np.array([class_target_sinr(behavior, cfg) for behavior in behaviors])
+    interferences = link.interference_all(powers, gains, cfg.noise_power)
+    floors, _ = feasible_floor(targets, np.diagonal(gains), interferences, cfg)
+    for i, (behavior, target, own, interference, lo) in enumerate(zip(
+            behaviors, targets.tolist(), np.diagonal(gains).tolist(), interferences.tolist(),
+            floors.tolist())):
         on_grid = partial(_payoff_on_grid, behavior, x, own_gain=own, interference=interference,
                           target=target, cfg=cfg)
         yield lo, float(on_grid(powers[i:i + 1])[0]), on_grid

@@ -181,10 +181,11 @@ def test_no_arguments_is_usage_error(capsys):
     ("num_pairs = 6\nnoise_power = 1e300\n", []),
     ("num_pairs = 6\nreference_distance = 5.9e-159\n", []),
     ("num_pairs = 6\npath_loss_attenuation = 1e-200\n", []),
+    ("num_pairs = 6\n", ["--stages", str(10 ** 30)]),
 ], ids=["pairs-not-multiple-of-3", "one-pair", "crowded-cell", "zero-stages", "zero-stages-npc",
         "tolerance-below-float-spacing", "doppler-nan", "w-nan", "p_max-nan",
         "cell_radius-overflow", "noise-overflows-pdr", "reference_distance-zero-gain",
-        "attenuation-zero-gain"])
+        "attenuation-zero-gain", "stages-beyond-an-array"])
 def test_config_that_cannot_run_exits_one(tmp_path, capsys, config_text, extra_args):
     cfg = tmp_path / "cell.cfg"
     cfg.write_text(config_text + "stages = 4\nrepetitions = 2\n", encoding="utf-8")

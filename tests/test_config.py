@@ -17,7 +17,7 @@ from ubeas.config import (
     rng_streams,
     watts_to_dbm,
 )
-from ubeas.game import run_game
+from ubeas.game import RECORD_DTYPE, run_game
 from ubeas.link import MODULATIONS, pdr_from_sinr, target_sinr
 
 
@@ -158,6 +158,30 @@ def test_int_field_rejects_the_value_below_its_floor(name):
 def test_field_of_the_wrong_type_is_rejected(name, value):
     with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be of type "):
         GameConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400])
+@pytest.mark.parametrize("name", ["cell_radius", "p_max", "doppler"])
+def test_float_field_rejects_an_int_too_large_for_a_float(name, value):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be a finite number .*0$"):
+        GameConfig(**{name: value})
+
+
+@pytest.mark.parametrize("fields", [{"stages": 10 ** 30}, {"repetitions": 10 ** 30},
+                                    {"num_pairs": 3 * 10 ** 30},
+                                    {"stages": 10 ** 9, "repetitions": 10 ** 9}])
+def test_run_length_beyond_an_array_is_rejected(fields):
+    with pytest.raises(ConfigError,
+                       match=r"^repetitions x stages x num_pairs = .* exceed the largest array"):
+        GameConfig(**fields)
+
+
+def test_run_length_bound_is_the_outcome_table_bytes():
+    # validate only: a run this long is never started here
+    largest = np.iinfo(np.intp).max // (3 * RECORD_DTYPE.itemsize)
+    assert GameConfig(num_pairs=3, repetitions=1, stages=largest).stages == largest
+    with pytest.raises(ConfigError, match="exceed the largest array"):
+        GameConfig(num_pairs=3, repetitions=1, stages=largest + 1)
 
 
 def test_numpy_numbers_and_int_floats_are_accepted():

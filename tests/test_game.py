@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from ubeas import game, harness, link, npc
 from ubeas.channel import FadingState
-from ubeas.config import BehaviorClass, ConfigError, GameConfig, rng_streams
+from ubeas.config import CLASS_ORDER, BehaviorClass, ConfigError, GameConfig, rng_streams
 from ubeas.game import (
     RECORD_DTYPE,
-    _best_response_with_target,
     _gradient_fn,
+    _gradients,
     _log_qx,
     _payoff_on_grid,
     class_target_sinr,
@@ -22,6 +22,7 @@ from ubeas.game import (
     leader_best_satisfaction,
     leader_utility,
     maximize_concave,
+    measure_followers,
     payoff,
     price_curvature_power,
     price_curvature_x,
@@ -315,6 +316,33 @@ def test_gradient_fn_equals_unfolded_gradient_bit_for_bit(behavior, x, priority,
         == expected.hex()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    x=SATISFACTIONS,
+    priority=st.booleans(),
+    modulation=st.sampled_from(sorted(MODULATIONS)),
+    constants=CONSTANTS,
+    # test_gradient_fn_equals_unfolded_gradient_bit_for_bit's grid, several pairs at once
+    points=st.lists(st.tuples(SOLVED_CLASSES, st.floats(CFG.p_min, CFG.p_max),
+                              st.floats(1e-3, 1e3), st.floats(1e-14, 1e-9)),
+                    min_size=1, max_size=6),
+)
+def test_array_gradients_equal_gradient_fn_bit_for_bit(x, priority, modulation, constants,
+                                                        points):
+    cfg = solver_cfg(priority, modulation, constants)
+    behaviors = [b for b, _, _, _ in points]
+    p = np.array([p for _, p, _, _ in points])
+    interference = np.array([i for _, _, _, i in points])
+    own = np.array([g for _, _, g, _ in points]) * interference / p
+    targets = np.array([class_target_sinr(b, cfg) for b in behaviors])
+    serious = np.array([b is BehaviorClass.SERIOUS for b in behaviors])
+    log_qx = None if x is None else _log_qx(x, cfg)
+    got = _gradients(p, serious, targets, own, interference, log_qx, cfg)
+    for k, behavior in enumerate(behaviors):
+        args = (targets[k].item(), x, own[k].item(), interference[k].item(), cfg, log_qx)
+        assert got[k].item().hex() == _gradient_fn(behavior, *args)(p[k].item()).hex()
+
+
 def test_gradient_fn_keeps_the_deep_fade_and_price_domain_guards():
     behavior = BehaviorClass.SERIOUS
     target = class_target_sinr(behavior, CFG)
@@ -326,6 +354,8 @@ def test_gradient_fn_keeps_the_deep_fade_and_price_domain_guards():
         assert expected == math.inf
         assert _gradient_fn(behavior, target, x, own, interference, CFG, log_qx)(CFG.p_min) \
             == expected
+        assert _gradients(np.array([CFG.p_min]), np.array([True]), np.array([target]),
+                          np.array([own]), np.array([interference]), log_qx, CFG)[0] == expected
     # p / z too close to y: the power-side logarithm would flip sign
     for behavior in CLASSES:
         with pytest.raises(ValueError):
@@ -334,6 +364,10 @@ def test_gradient_fn_keeps_the_deep_fade_and_price_domain_guards():
             _gradient_fn(behavior, target, 0.5, 1e-9, 1e-12, CFG, _log_qx(0.5, CFG))(0.7)
         with pytest.raises(ValueError):
             _gradient_fn(behavior, target, 1.5, 1e-9, 1e-12, CFG, _log_qx(1.5, CFG))(0.1)
+        with pytest.raises(ValueError):
+            _gradients(np.array([0.1, 0.7]), np.array([behavior is BehaviorClass.SERIOUS] * 2),
+                       np.array([target] * 2), np.array([1e-9] * 2), np.array([1e-12] * 2),
+                       _log_qx(0.5, CFG), CFG)
 
 
 @settings(max_examples=300, deadline=None)
@@ -362,9 +396,45 @@ def test_best_response_equals_solver_on_unfolded_gradient(behavior, x, priority,
             lambda p: payoff(behavior, x, p, own_gain, interf, target, cfg),
             lambda p: unfolded_payoff_gradient(behavior, x, p, own_gain, interf, target, cfg),
             max(cfg.p_min, p_req), cfg.p_max, cfg.br_tolerance), False)
-    log_qx = None if x is None else _log_qx(x, cfg)
-    assert _best_response_with_target(behavior, target, x, own_gain, interf, cfg,
-                                      log_qx) == expected
+    assert follower_best_response(behavior, x, own_gain, interf, cfg) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=SATISFACTIONS,
+    priority=st.booleans(),
+    modulation=st.sampled_from(sorted(MODULATIONS)),
+    constants=CONSTANTS,
+    # SINRs from a deep fade (serious exponent above 700) to far above target
+    points=st.lists(st.tuples(st.sampled_from(CLASSES), st.floats(CFG.p_min, CFG.p_max),
+                              st.floats(1e-3, 1e3), st.floats(1e-14, 1e-9), st.booleans()),
+                    min_size=1, max_size=6),
+)
+def test_measure_followers_equals_the_scalar_functions_bit_for_bit(x, priority, modulation,
+                                                                  constants, points):
+    cfg = solver_cfg(priority, modulation, constants)
+    behaviors = [b for b, *_ in points]
+    p = np.array([p for _, p, _, _, _ in points])
+    interference = np.array([i for _, _, _, i, _ in points])
+    own = np.array([g for _, _, g, _, _ in points]) * interference / p
+    targets = np.array([class_target_sinr(b, cfg) for b in behaviors])
+    outages = np.array([o for *_, o in points])
+    record = measure_followers(np.array([CLASS_ORDER.index(b) for b in behaviors]), targets, x,
+                               p, own, interference, outages, cfg)
+    for k, behavior in enumerate(behaviors):
+        pk, ownk, interf = p[k].item(), own[k].item(), interference[k].item()
+        sinr = pk * ownk / interf
+        price = 0.0 if x is None else satisfaction_price(x, pk, cfg)
+        expected = (pk, sinr, link.pdr_from_sinr(sinr, cfg.modulation_params),
+                    payoff(behavior, None, pk, ownk, interf, targets[k].item(), cfg) - price, price)
+        got = tuple(record[name][k].item() for name in ("power", "sinr", "pdr", "utility", "price"))
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        assert record.outage[k] == outages[k]
+    # the padding after outage is zero
+    padded = np.zeros(len(points), RECORD_DTYPE)
+    for name in RECORD_DTYPE.names:
+        padded[name] = record[name]
+    assert record.tobytes() == padded.tobytes()
 
 
 def test_follower_utilities_concave_in_power():
@@ -533,11 +603,12 @@ def test_run_stage_protocol_ordering():
     behaviors = tuple(BehaviorClass)
     targets = [link_target(0.90, mod) for _ in behaviors]
     powers = np.array([float(rng.uniform(cfg.p_min, cfg.p_max)) for _ in behaviors])
-    # t = 1, x pinned at x_init
-    prev_x, row = run_stage(behaviors, targets, None, powers, gains, 1, cfg)
-    prev_powers = row.power.copy()
+    # t = 1, x pinned at x_init; run_stage plays a block, here of one row
+    prev_x, rows = run_stage(behaviors, targets, None, powers[None], gains[None], 1, cfg)
+    prev_powers = rows[0]["power"].copy()
 
-    x, row = run_stage(behaviors, targets, prev_x, prev_powers, gains, 2, cfg)  # t = 2
+    x, rows = run_stage(behaviors, targets, prev_x, prev_powers[None], gains[None], 2, cfg)  # t = 2
+    row = rows.view(np.recarray)[0]
     expected_x = leader_best_satisfaction(prev_x, 2.0, cfg.x_floor)
     assert x == expected_x
     interference = link.interference_all(prev_powers, gains, cfg.noise_power)
@@ -580,23 +651,18 @@ def test_stage_class_means_recompute_from_members():
 
 
 # ---------------------------------------------------------------------------
-# The stage memo: a stage whose inputs repeat one of the last two is a copy.
+# The stage memo: a row whose inputs repeat one of its last two is a copy.
 # ---------------------------------------------------------------------------
 
-def solve_every_pair(behaviors, targets, x, reference_powers, gains, cfg, memo=None):
-    """play_stage without the memo: every pair solves and is measured at every stage."""
-    interference = link.interference_all(reference_powers, gains, cfg.noise_power)
-    log_qx = None if x is None else _log_qx(x, cfg)
-    powers, outages = [], []
-    for i, (behavior, target) in enumerate(zip(behaviors, targets)):
-        power, outage = _best_response_with_target(
-            behavior, target, x, float(gains[i, i]), float(interference[i]), cfg, log_qx)
-        powers.append(power)
-        outages.append(outage)
-    return game.measure_followers(behaviors, targets, x, np.array(powers), gains, outages, cfg)
+PLAY_STAGES = game.play_stages
 
 
-def count_calls(monkeypatch, owner=game, name="maximize_concave") -> list:
+def solve_every_row(behaviors, targets, x, reference_powers, gains, cfg, memos=None):
+    """play_stages without the memo: every row solves and is measured at every stage."""
+    return PLAY_STAGES(behaviors, targets, x, reference_powers, gains, cfg)
+
+
+def count_calls(monkeypatch, owner=game, name="measure_followers") -> list:
     """Record every call of owner.name, as the bench tracer does."""
     calls = []
     call = getattr(owner, name)
@@ -609,31 +675,46 @@ def count_calls(monkeypatch, owner=game, name="maximize_concave") -> list:
     return calls
 
 
+def count_solves(monkeypatch) -> list:
+    """Per call of the engine's best responses, the pairs it solves: those
+    neither casual nor in outage."""
+    solves = []
+    best_responses = game._best_responses
+
+    def counted(classes, *args):
+        powers, outages = best_responses(classes, *args)
+        solves.append(np.count_nonzero((classes != CLASS_ORDER.index(BehaviorClass.CASUAL))
+                                       & ~outages))
+        return powers, outages
+
+    monkeypatch.setattr(game, "_best_responses", counted)
+    return solves
+
+
 RUNS = {"ubeas": run_game, "npc": run_npc_game}
 
 
 def run_without_memo(monkeypatch, name, cfg):
     with monkeypatch.context() as patch:
-        patch.setattr(game, "play_stage", solve_every_pair)
-        patch.setattr(npc, "play_stage", solve_every_pair)
+        patch.setattr(game, "play_stages", solve_every_row)
+        patch.setattr(npc, "play_stages", solve_every_row)
         return RUNS[name](cfg)
 
 
 def assert_same_bits(got, want):
-    for field in RECORD_DTYPE.names:
-        assert got.outcomes[field].tobytes() == want.outcomes[field].tobytes(), field
+    assert got.outcomes.tobytes() == want.outcomes.tobytes()
     assert (got.x is None and want.x is None) or got.x.tobytes() == want.x.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_reuse_is_exact_and_skips_solves_on_a_frozen_channel(monkeypatch, name):
     cfg = GameConfig(num_pairs=12, stages=200, doppler=0.0, npc_rerandomize=False)
-    calls = count_calls(monkeypatch)
+    solves = count_solves(monkeypatch)
     reused = RUNS[name](cfg)
-    reused_solves = len(calls)
-    calls.clear()
+    reused_solves = sum(solves)
+    solves.clear()
     every = run_without_memo(monkeypatch, name, cfg)
-    assert 0 < 2 * reused_solves <= len(calls)
+    assert 0 < 2 * reused_solves <= sum(solves)
     assert_same_bits(reused, every)
 
 
@@ -643,7 +724,7 @@ def test_memo_copies_period_two_cycles_bit_for_bit(monkeypatch, name, seed):
     # Criterion 9's seeds 1007 and 1010 end in a period-2 cycle of one-ulp
     # flips, which only the memo's second entry catches.
     cfg = GameConfig(doppler=0.0, seed=seed, repetitions=1, stages=600, npc_rerandomize=False)
-    measured = count_calls(monkeypatch, name="measure_followers")
+    measured = count_calls(monkeypatch)
     advanced = count_calls(monkeypatch, FadingState, "advance")
     memo = RUNS[name](cfg)
     assert len(advanced) == 1   # a frozen channel is drawn once
@@ -659,9 +740,9 @@ def test_memo_copies_period_two_cycles_bit_for_bit(monkeypatch, name, seed):
 def test_memo_never_hits_on_a_fading_channel_or_rerandomized_npc(monkeypatch, name, fields):
     cfg = dataclasses.replace(GameConfig(num_pairs=12, stages=60), **fields)
     assert cfg.npc_rerandomize
-    measured = count_calls(monkeypatch, name="measure_followers")
+    measured = count_calls(monkeypatch)
     advanced = count_calls(monkeypatch, FadingState, "advance")
-    played = count_calls(monkeypatch, npc, "play_stage")
+    played = count_calls(monkeypatch, npc, "play_stages")
     memo = RUNS[name](cfg)
     assert len(measured) == cfg.stages
     assert len(advanced) == (1 if cfg.doppler == 0.0 else cfg.stages)
@@ -671,6 +752,7 @@ def test_memo_never_hits_on_a_fading_channel_or_rerandomized_npc(monkeypatch, na
         rng = rng_streams(cfg.seed, 0).powers
         stream = [rng.uniform(cfg.p_min, cfg.p_max, size=cfg.num_pairs) for _ in range(cfg.stages)]
         assert [args[3].tobytes() for args in played] == [draw.tobytes() for draw in stream]
+        assert all(args[3].shape == (1, cfg.num_pairs) for args in played)
 
 
 def test_reuse_solves_again_when_only_satisfaction_changes():
@@ -685,8 +767,8 @@ def test_reuse_solves_again_when_only_satisfaction_changes():
     powers, memo = [], []
     for x in (0.001, 1.0):
         row = game.play_stage(behaviors, targets, x, reference, gains, cfg, memo)
-        expected = solve_every_pair(behaviors, targets, x, reference, gains, cfg)
-        assert row.power.tobytes() == expected.power.tobytes()
+        expected = solve_every_row(behaviors, targets, x, reference[None], gains[None], cfg)[0]
+        assert row.power.tobytes() == expected["power"].tobytes()
         powers.append(row.power.tolist())
     assert powers[0] != powers[1]
     assert [key[0] for key in memo] == [1.0, 0.001]
@@ -702,13 +784,12 @@ def test_memo_hit_returns_a_copy_of_the_stored_row():
     first = game.play_stage(behaviors, targets, 1.0, reference, gains, cfg, memo)
     second = game.play_stage(behaviors, targets, 1.0, reference, gains, cfg, memo)
     assert len(memo) == 1
-    # Field by field: a memo hit is an ndarray.copy(), which copies an aligned
-    # record array field by field and leaves the copy's padding bytes unset.
-    for field in RECORD_DTYPE.names:
-        assert second[field].tobytes() == first[field].tobytes(), field
+    # Whole rows: a stored row and a hit are copied into zero-filled arrays,
+    # so the padding bytes of the aligned records are zero too.
+    assert second.tobytes() == first.tobytes() == memo[0][3].tobytes()
     assert second is not memo[0][3] and first is not memo[0][3]
     second.power[:] = cfg.p_max
-    assert memo[0][3].power.tolist() == first.power.tolist()
+    assert memo[0][3]["power"].tolist() == first.power.tolist()
 
 
 def test_pareto_replay_is_unchanged_by_the_memo_on_criterion_9_seeds(monkeypatch):
@@ -717,7 +798,7 @@ def test_pareto_replay_is_unchanged_by_the_memo_on_criterion_9_seeds(monkeypatch
         traj = run_game(cfg)
         report = check_pareto_convergence(traj)
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "play_stage", solve_every_pair)
+            patch.setattr(game, "play_stages", solve_every_row)
             assert check_pareto_convergence(traj) == report, cfg.seed
 
 
@@ -725,7 +806,8 @@ def test_pareto_replay_is_unchanged_by_the_memo_on_criterion_9_seeds(monkeypatch
 def test_fading_channel_solves_every_uncapped_non_casual_pair(monkeypatch, name):
     cfg = GameConfig(num_pairs=12, stages=60)
     assert cfg.doppler > 0.0
-    calls = count_calls(monkeypatch)
+    solves = count_solves(monkeypatch)
     traj = RUNS[name](cfg)
     solved = np.array([b is not BehaviorClass.CASUAL for b in traj.behaviors])
-    assert len(calls) == np.count_nonzero(solved & ~traj.outcomes.outage)
+    assert len(solves) == cfg.stages
+    assert sum(solves) == np.count_nonzero(solved & ~traj.outcomes.outage)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubeas import harness, link
+from ubeas import game, harness, link
 from ubeas.config import BehaviorClass, ConfigError, GameConfig, watts_to_dbm
 from ubeas.game import (
     RECORD_DTYPE,
@@ -373,6 +373,62 @@ def test_failed_repetition_is_named():
         run_experiment(cfg, "ubeas")
 
 
+def test_a_failing_row_names_its_repetition_inside_a_block(monkeypatch):
+    # Repetition 4's cell is stretched until every path-loss gain underflows
+    # to 0, so its required powers divide by zero, as Python's floats would
+    # raise; it is the middle row of a block that starts at 3.
+    streams, topologies, stretched = game.rng_streams, game.generate_topology, set()
+
+    def planted_streams(seed, rep):
+        rngs = streams(seed, rep)
+        if rep == 4:
+            stretched.add(id(rngs.topology))
+        return rngs
+
+    def planted_topology(cfg, rng, behaviors=None):
+        topology = topologies(cfg, rng, behaviors)
+        if id(rng) in stretched:
+            topology = dataclasses.replace(topology, distances=topology.distances * 1e200)
+        return topology
+
+    monkeypatch.setattr(game, "rng_streams", planted_streams)
+    monkeypatch.setattr(game, "generate_topology", planted_topology)
+    cfg = dataclasses.replace(SMALL, stages=4)
+    assert len(harness._run_block((cfg, "npc", range(5, 7)))) == 2
+    with pytest.raises(ConfigError, match=r"^repetition 4: divide by zero"):
+        harness._run_block((cfg, "ubeas", range(3, 6)))
+
+
+# Cases of the lockstep engine: both games on a fading and a frozen channel,
+# and the baseline answering fresh draws or its last powers.
+BLOCK_CASES = [("ubeas", {}), ("ubeas", {"doppler": 0.0}), ("npc", {}), ("npc", {"doppler": 0.0}),
+               ("npc", {"npc_rerandomize": False}),
+               ("npc", {"doppler": 0.0, "npc_rerandomize": False})]
+
+
+@pytest.mark.parametrize("game_name, fields", BLOCK_CASES,
+                         ids=["ubeas-fading", "ubeas-frozen", "npc-fading", "npc-frozen",
+                              "npc-iterated-fading", "npc-iterated-frozen"])
+def test_outcomes_do_not_depend_on_the_block_size_or_jobs(monkeypatch, game_name, fields):
+    cfg = dataclasses.replace(SMALL, stages=40, repetitions=5, **fields)
+    fading_bytes = cfg.num_pairs ** 2 * cfg.jakes_oscillators * 32
+
+    def run(block, jobs=1):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_BLOCK_FADING_BYTES", block * fading_bytes)
+            return run_experiment(cfg, game_name, jobs=jobs)[1]
+
+    def bits(trajectories):
+        return [(t.outcomes.tobytes(), None if t.x is None else t.x.tobytes(),
+                 t.final_gains.tobytes(), t.topology.distances.tobytes()) for t in trajectories]
+
+    one = bits(run(1))
+    assert len(set(one)) == cfg.repetitions
+    for block in (2, 3, cfg.repetitions):
+        assert bits(run(block)) == one, block
+    assert bits(run(2, jobs=2)) == one
+
+
 def test_pool_never_gets_more_workers_than_repetitions(monkeypatch):
     # an inline stand-in for the process pool, so no worker process starts
     seen = []
@@ -431,7 +487,7 @@ def test_threaded_fading_then_a_forked_pool_in_one_process():
 def test_equal_runs_give_equal_outcome_bytes(game):
     # the aligned records' padding is zero-filled too, so whole rows compare
     cfg = dataclasses.replace(SMALL, stages=5)
-    first, second = (harness.GAMES[game](cfg, repetition=1) for _ in range(2))
+    first, second = (harness.GAMES[game](cfg, range(1, 2))[0] for _ in range(2))
     assert first.outcomes.tobytes() == second.outcomes.tobytes()
     _, serial = run_experiment(cfg, game, jobs=1)
     _, pooled = run_experiment(cfg, game, jobs=2)

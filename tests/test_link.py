@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ubeas.config import BehaviorClass, GameConfig
-from ubeas.game import measure_followers
+from ubeas.config import GameConfig
+from ubeas.game import _block_interference, measure_followers
 from ubeas.link import (
     MODULATIONS,
     FitError,
@@ -18,10 +18,12 @@ QAM16 = MODULATIONS["16qam"]
 
 
 def measured_sinr(powers, gains, noise):
-    """The sinr column measure_followers records at these powers, for casual pairs."""
+    """The sinr column the stage engine records at these powers, for casual pairs."""
     m = len(powers)
-    return measure_followers((BehaviorClass.CASUAL,) * m, [1.0] * m, None, powers, gains,
-                             (False,) * m, GameConfig(noise_power=noise)).sinr
+    interference = _block_interference(powers[None], gains[None], noise)[0]
+    return measure_followers(np.zeros(m, dtype=int), np.ones(m), None, powers, np.diagonal(gains),
+                             interference, np.zeros(m, dtype=bool),
+                             GameConfig(noise_power=noise)).sinr
 
 
 def test_modulation_table_rows():
@@ -69,6 +71,16 @@ def test_sinr_index_out_of_range():
         measured_sinr(np.array([0.01, 0.01, 0.01]), np.ones((2, 2)), 1e-13)
     with pytest.raises(ValueError):
         measured_sinr(np.array([0.01]), np.ones((2, 2)), 1e-13)
+
+
+@pytest.mark.parametrize("m", [24, 96])
+def test_block_interference_equals_interference_all_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    gains = np.exp(rng.uniform(np.log(1e-16), np.log(1e-8), size=(3, m, m)))
+    powers = rng.uniform(1e-3, 0.2, size=(3, m))
+    block = _block_interference(powers, gains, 1.1995e-13)
+    for row, (p, g) in enumerate(zip(powers, gains)):
+        assert block[row].tobytes() == interference_all(p, g, 1.1995e-13).tobytes(), row
 
 
 def test_pdr_reference_points():

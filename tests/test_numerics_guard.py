@@ -13,9 +13,13 @@ each use.
 import ast
 import inspect
 
-from ubeas import game, harness
+from ubeas import game, harness, npc
 
-CSV_PATH = {game: ("measure_followers", "play_stage"), harness: ("summarize", "emit_outputs")}
+# The roots of the block engine, the one-row stage and the stage policies.
+CSV_PATH = {game: ("measure_followers", "play_stage", "play_stages", "run_stage",
+                   "play_repetitions", "run_games"),
+            npc: ("run_npc_stage", "run_npc_games"),
+            harness: ("summarize", "emit_outputs", "run_experiment")}
 NUMPY_FORBIDDEN = {"exp", "log", "log2", "log10", "power", "float_power", "expm1", "log1p",
                    "sum", "mean", "nansum", "nanmean", "average"}
 METHODS_FORBIDDEN = {"sum", "mean"}
@@ -76,6 +80,17 @@ def test_guard_reaches_the_best_response_gradient():
     planted = source.replace("hvab * gamma_b * math.exp(exponent)",
                              "hvab * gamma_b * np.exp(exponent)")
     assert violations(planted, CSV_PATH[game]) == ["_gradient_fn: np.exp"]
+
+
+def test_guard_reaches_the_block_engines_array_kernels():
+    source = inspect.getsource(game)
+    assert {"_solve_stage", "_best_responses", "_gradients", "_price_log_yz", "_libm"} <= set(
+        reachable(functions(source), CSV_PATH[game]))
+    for libm_call, function in (("_libm(math.exp, mod.a * sinr_b)", "measure_followers"),
+                                ("_libm(math.exp, exponent[~fade]) / ps", "_gradients")):
+        assert source.count(libm_call) == 1
+        planted = source.replace(libm_call, libm_call.replace("_libm(math.exp, ", "np.exp(", 1))
+        assert violations(planted, CSV_PATH[game]) == [f"{function}: np.exp"]
 
 
 def test_guard_reaches_the_trajectory_formatter():
