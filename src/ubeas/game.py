@@ -44,7 +44,9 @@ play_repetitions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable
 
@@ -150,6 +152,33 @@ def class_target_sinr(behavior: BehaviorClass, cfg: GameConfig) -> float:
                             cfg.modulation_params)
 
 
+def _exp_capped(v: float) -> float:
+    """math.exp, inf past 700: a deep fade pushes the serious pdr**-v beyond any float."""
+    return math.inf if v > 700.0 else math.exp(v)
+
+
+def _np_exp_capped(v: np.ndarray) -> np.ndarray:
+    """_exp_capped over an array; the clamp keeps np.exp finite where np.where discards it."""
+    return np.where(v > 700.0, np.inf, np.exp(np.minimum(v, 700.0)))
+
+
+def _performance(behavior: BehaviorClass, p, gamma, target, cfg: GameConfig,
+                 power: Callable, exp: Callable):
+    """The class performance term at power p and SINR gamma, over floats or
+    arrays of one class, with the caller's power(base, exponent) and capped exp.
+
+    The serious h_i / pdr**v is exp(-v * a * gamma**b) in log space; where
+    that exponent passes 700 the term is -inf.
+    """
+    if behavior is BehaviorClass.CASUAL:
+        return (target / gamma) * p
+    if behavior is BehaviorClass.INTERMEDIATE:
+        err = target - gamma
+        return -cfg.s * p - cfg.c * err * err
+    mod = cfg.modulation_params
+    return -power(p, cfg.w) - cfg.h_i * exp(-cfg.v * mod.a * power(gamma, mod.b))
+
+
 def payoff(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
            interference: float, target: float, cfg: GameConfig) -> float:
     """Class performance term minus the satisfaction price; no price when x is None.
@@ -157,21 +186,7 @@ def payoff(behavior: BehaviorClass, x: float | None, p: float, own_gain: float,
     Unvalidated inner form of follower_utility, for loops that have checked
     the gains and looked up the class target SINR once.
     """
-    gamma = p * own_gain / interference
-    if behavior is BehaviorClass.CASUAL:
-        value = (target / gamma) * p
-    elif behavior is BehaviorClass.INTERMEDIATE:
-        err = target - gamma
-        value = -cfg.s * p - cfg.c * err * err
-    else:
-        mod = cfg.modulation_params
-        # h_i / pdr**v evaluated in log space; deep fades push pdr below the
-        # smallest normal float and the penalty toward infinity.
-        exponent = -cfg.v * mod.a * gamma ** mod.b
-        if exponent > 700.0:
-            value = -math.inf
-        else:
-            value = -(p ** cfg.w) - cfg.h_i * math.exp(exponent)
+    value = _performance(behavior, p, p * own_gain / interference, target, cfg, pow, _exp_capped)
     if x is None:
         return value
     return value - satisfaction_price(x, p, cfg)
@@ -182,28 +197,14 @@ def _payoff_on_grid(behavior: BehaviorClass, x: float | None, p: np.ndarray, own
     """payoff at every power of the array p, for the equilibrium verifiers.
 
     numpy's exp, log and power may differ from math's in the last bit, so the
-    stage path, whose values reach the CSVs, keeps the scalar payoff.
+    stage path, whose values reach the CSVs, keeps libm's.
     """
-    gamma = p * own_gain / interference
-    if behavior is BehaviorClass.CASUAL:
-        value = (target / gamma) * p
-    elif behavior is BehaviorClass.INTERMEDIATE:
-        err = target - gamma
-        value = -cfg.s * p - cfg.c * err * err
-    else:
-        mod = cfg.modulation_params
-        exponent = -cfg.v * mod.a * gamma ** mod.b
-        # The same -inf guard as payoff; the clamp keeps np.exp finite where
-        # np.where discards it.
-        value = np.where(exponent > 700.0, -np.inf,
-                         -(p ** cfg.w) - cfg.h_i * np.exp(np.minimum(exponent, 700.0)))
+    value = _performance(behavior, p, p * own_gain / interference, target, cfg,
+                         operator.pow, _np_exp_capped)
     if x is None:
         return value
-    log_qx = _log_qx(x, cfg)
-    yz = cfg.y - p / cfg.z
-    if np.any(yz <= 1.0):
-        raise ValueError(f"price undefined: y - p/z = {float(yz.min())} must exceed 1")
-    return value - cfg.delta / (log_qx * np.log(yz))
+    _, log_yz = _price_log_yz(p, cfg, np.log)
+    return value - cfg.delta / (_log_qx(x, cfg) * log_yz)
 
 
 def _gradient_fn(behavior: BehaviorClass, target: float, x: float | None, own_gain: float,
@@ -257,12 +258,12 @@ def _libm(fn: Callable[..., float], values: np.ndarray, *args: float) -> np.ndar
     return np.fromiter(map(fn, values.tolist(), *map(repeat, args)), float, len(values))
 
 
-def _price_log_yz(p: np.ndarray, cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """y - p/z and its logarithm at every power of a 1-D array, with the price's domain guard."""
+def _price_log_yz(p: np.ndarray, cfg: GameConfig, log: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """y - p/z and its log(...) at every power of an array, with the price's domain guard."""
     yz = cfg.y - p / cfg.z
     if (yz <= 1.0).any():
         raise ValueError(f"price undefined: y - p/z = {float(yz.min())} must exceed 1")
-    return yz, _libm(math.log, yz)
+    return yz, log(yz)
 
 
 def _gradients(p: np.ndarray, serious: np.ndarray, target: np.ndarray, own_gain: np.ndarray,
@@ -289,7 +290,7 @@ def _gradients(p: np.ndarray, serious: np.ndarray, target: np.ndarray, own_gain:
     value[serious] = slope
     if log_qx is None:
         return value
-    yz, log_yz = _price_log_yz(p, cfg)
+    yz, log_yz = _price_log_yz(p, cfg, partial(_libm, math.log))
     return value - cfg.delta / (cfg.z * yz * log_qx * log_yz * log_yz)
 
 
@@ -502,43 +503,25 @@ def measure_followers(classes: np.ndarray, targets: np.ndarray, x: float | None,
     interference is that of the selected powers.
 
     Each value is the one payoff, satisfaction_price and link.pdr_from_sinr
-    give for its element: the same operations, with libm's exp, log and pow.
+    give for its element: the same functions, with libm's exp, log and pow.
     """
     sinrs = powers * own_gain / interference
-    if (sinrs <= 0.0).any():
-        raise ValueError(f"SINR must be positive, got {float(sinrs.min())}")
-    mod = cfg.modulation_params
-    sinr_b = _libm(pow, sinrs, mod.b)
-    pdrs = _libm(math.exp, mod.a * sinr_b)
-    # payoff's class performance terms, with the price subtracted below
+    pdrs = _libm(link.pdr_from_sinr, sinrs, cfg.modulation_params)
     utilities = np.empty_like(powers)
-    casual, serious = (classes == CLASS_ORDER.index(b)
-                       for b in (BehaviorClass.CASUAL, BehaviorClass.SERIOUS))
-    mid = ~casual & ~serious
-    utilities[casual] = (targets[casual] / sinrs[casual]) * powers[casual]
-    err = targets[mid] - sinrs[mid]
-    utilities[mid] = -cfg.s * powers[mid] - cfg.c * err * err
-    exponent = -cfg.v * mod.a * sinr_b[serious]
-    fade = exponent > 700.0
-    value = np.full(len(exponent), -math.inf)
-    ps = powers[serious][~fade]
-    value[~fade] = -_libm(pow, ps, cfg.w) - cfg.h_i * _libm(math.exp, exponent[~fade])
-    utilities[serious] = value
+    power, exp = partial(_libm, pow), partial(_libm, _exp_capped)
+    for k, behavior in enumerate(CLASS_ORDER):
+        members = classes == k
+        utilities[members] = _performance(behavior, powers[members], sinrs[members],
+                                          targets[members], cfg, power, exp)
     prices = np.zeros_like(powers)
     if x is not None:
-        _, log_yz = _price_log_yz(powers, cfg)
+        _, log_yz = _price_log_yz(powers, cfg, partial(_libm, math.log))
         prices = cfg.delta / (_log_qx(x, cfg) * log_yz)
     record = np.zeros(len(powers), RECORD_DTYPE).view(np.recarray)
     for name, column in zip(RECORD_DTYPE.names,
                             (powers, sinrs, pdrs, utilities - prices, prices, outages)):
         record[name] = column
     return record
-
-
-def _block_interference(powers: np.ndarray, gains: np.ndarray, noise: float) -> np.ndarray:
-    """link.interference_all of every row of a block: (B, M) powers on (B, M, M) gains."""
-    own = np.diagonal(gains, axis1=1, axis2=2)
-    return np.matmul(powers[:, None, :], gains)[:, 0, :] - powers * own + noise
 
 
 def _solve_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: float | None,
@@ -551,8 +534,8 @@ def _solve_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: 
     own = np.diagonal(gains, axis1=1, axis2=2).ravel()
     powers, outages = _best_responses(
         classes, pair_targets, x, own,
-        _block_interference(reference_powers, gains, cfg.noise_power).ravel(), cfg)
-    interference = _block_interference(powers.reshape(shape), gains, cfg.noise_power).ravel()
+        link.interference_all(reference_powers, gains, cfg.noise_power).ravel(), cfg)
+    interference = link.interference_all(powers.reshape(shape), gains, cfg.noise_power).ravel()
     return measure_followers(classes, pair_targets, x, powers, own, interference, outages,
                              cfg).reshape(shape)
 

@@ -188,6 +188,9 @@ def _named(exc: Exception, name: str) -> Exception:
         # A validated config passes every domain guard of the model unless its
         # scales push gains, SINR or PDR out of floating-point range.
         return ConfigError(f"{name}: {exc} (numbers out of floating-point range)")
+    if isinstance(exc, MemoryError):
+        # A config too large for this machine's memory cannot run here.
+        return ConfigError(f"{name}: out of memory{f' ({exc})' if str(exc) else ''}")
     return RuntimeError(f"{name} failed: {exc}")
 
 

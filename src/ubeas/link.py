@@ -57,10 +57,10 @@ MODULATIONS = {
 
 
 def interference_all(powers: np.ndarray, gains: np.ndarray, noise: float) -> np.ndarray:
-    """Interference-plus-noise at every receiver, excluding each pair's own signal."""
-    received = powers @ gains
-    own = powers * np.diagonal(gains)
-    return received - own + noise
+    """Interference-plus-noise at every receiver, excluding each pair's own signal:
+    (M,) powers on (M, M) gains, or a block of (B, M) rows on (B, M, M)."""
+    received = np.matmul(powers[..., None, :], gains)[..., 0, :]
+    return received - powers * np.diagonal(gains, axis1=-2, axis2=-1) + noise
 
 
 def pdr_from_sinr(gamma: float, mod: ModulationParams) -> float:

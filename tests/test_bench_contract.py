@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 import ubeas
-from ubeas import harness
+from ubeas import harness, link
 from ubeas.channel import FadingState
 from ubeas.config import GameConfig
-from ubeas.game import StageRecord, run_game
+from ubeas.game import StageRecord, run_game, run_games
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -70,3 +70,22 @@ def test_import_leaves_multiprocessing_out():
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_engine_measures_through_the_traced_link_functions(monkeypatch):
+    # The tracer's link.* spans count calls to these module attributes, so the
+    # stage engine must look them up there rather than keep its own copies.
+    calls = {"pdr_from_sinr": 0, "interference_all": 0}
+    for name in calls:
+        fn = getattr(link, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(link, name, counted)
+    m, t, r = 6, 5, 2
+    cfg = GameConfig(num_pairs=m, stages=t, repetitions=r)
+    assert cfg.doppler > 0.0   # a fading channel: no stage repeats the last one
+    run_games(cfg, range(r))
+    assert calls == {"pdr_from_sinr": r * t * m, "interference_all": 2 * t}

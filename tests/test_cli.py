@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ubeas
+from ubeas import harness
 from ubeas.cli import main
 from ubeas.config import ConfigError, GameConfig, load_config
 from ubeas.link import MODULATIONS
@@ -42,6 +43,20 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
     cfg.write_text("z = 0\n", encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "z" in capsys.readouterr().err
+
+
+def test_run_reports_a_repetition_out_of_memory_as_a_config_error(tmp_path, capsys,
+                                                                    monkeypatch):
+    def exhausted(cfg, reps):
+        raise MemoryError("cannot allocate the fading state")
+
+    monkeypatch.setitem(harness.GAMES, "ubeas", exhausted)
+    cfg = tmp_path / "cell.cfg"
+    write_small_config(cfg)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "repetition 0: out of memory (cannot allocate the fading state)" in err
+    assert "Traceback" not in err
 
 
 def test_bad_cli_usage_is_validation_error(capsys):

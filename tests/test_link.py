@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ubeas.config import GameConfig
-from ubeas.game import _block_interference, measure_followers
+from ubeas.game import measure_followers
 from ubeas.link import (
     MODULATIONS,
     FitError,
@@ -20,7 +20,7 @@ QAM16 = MODULATIONS["16qam"]
 def measured_sinr(powers, gains, noise):
     """The sinr column the stage engine records at these powers, for casual pairs."""
     m = len(powers)
-    interference = _block_interference(powers[None], gains[None], noise)[0]
+    interference = interference_all(powers, gains, noise)
     return measure_followers(np.zeros(m, dtype=int), np.ones(m), None, powers, np.diagonal(gains),
                              interference, np.zeros(m, dtype=bool),
                              GameConfig(noise_power=noise)).sinr
@@ -78,9 +78,11 @@ def test_block_interference_equals_interference_all_bit_for_bit(m):
     rng = np.random.default_rng(m)
     gains = np.exp(rng.uniform(np.log(1e-16), np.log(1e-8), size=(3, m, m)))
     powers = rng.uniform(1e-3, 0.2, size=(3, m))
-    block = _block_interference(powers, gains, 1.1995e-13)
+    block = interference_all(powers, gains, 1.1995e-13)
     for row, (p, g) in enumerate(zip(powers, gains)):
         assert block[row].tobytes() == interference_all(p, g, 1.1995e-13).tobytes(), row
+        # the vector-matrix product of the textbook form, bit for bit
+        assert block[row].tobytes() == (p @ g - p * np.diagonal(g) + 1.1995e-13).tobytes(), row
 
 
 def test_pdr_reference_points():

@@ -6,19 +6,20 @@ of their inputs, and np.sum / np.mean / ndarray.sum() / .mean() add pairwise
 where the per-sample loops add left to right (builtin sum() compensates from
 Python 3.12).  Any of them in the best response, the stage measurement, the
 aggregation or the CSV writer changes the output bytes, so this walks the syntax of those
-functions, and of every function of the same module they call, and names
-each use.
+functions, and of every function of the same module they call or pass on (the
+kernels receive their exp, log and pow as arguments), and names each use.
 """
 
 import ast
 import inspect
 
-from ubeas import game, harness, npc
+from ubeas import game, harness, link, npc
 
 # The roots of the block engine, the one-row stage and the stage policies.
 CSV_PATH = {game: ("measure_followers", "play_stage", "play_stages", "run_stage",
                    "play_repetitions", "run_games"),
             npc: ("run_npc_stage", "run_npc_games"),
+            link: ("interference_all", "pdr_from_sinr"),
             harness: ("summarize", "emit_outputs", "run_experiment")}
 NUMPY_FORBIDDEN = {"exp", "log", "log2", "log10", "power", "float_power", "expm1", "log1p",
                    "sum", "mean", "nansum", "nanmean", "average"}
@@ -35,16 +36,15 @@ def functions(source: str) -> dict[str, ast.FunctionDef]:
 
 
 def reachable(defs: dict[str, ast.FunctionDef], roots) -> list[str]:
-    """The roots plus every function of defs they call by name, transitively."""
+    """The roots plus every function of defs they name, called or passed on, transitively."""
     seen, todo = [], list(roots)
     while todo:
         name = todo.pop()
         if name in seen:
             continue
         seen.append(name)
-        todo.extend(node.func.id for node in ast.walk(defs[name])
-                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in defs)
+        todo.extend(node.id for node in ast.walk(defs[name])
+                    if isinstance(node, ast.Name) and node.id in defs)
     return seen
 
 
@@ -84,13 +84,32 @@ def test_guard_reaches_the_best_response_gradient():
 
 def test_guard_reaches_the_block_engines_array_kernels():
     source = inspect.getsource(game)
-    assert {"_solve_stage", "_best_responses", "_gradients", "_price_log_yz", "_libm"} <= set(
-        reachable(functions(source), CSV_PATH[game]))
-    for libm_call, function in (("_libm(math.exp, mod.a * sinr_b)", "measure_followers"),
-                                ("_libm(math.exp, exponent[~fade]) / ps", "_gradients")):
-        assert source.count(libm_call) == 1
-        planted = source.replace(libm_call, libm_call.replace("_libm(math.exp, ", "np.exp(", 1))
-        assert violations(planted, CSV_PATH[game]) == [f"{function}: np.exp"]
+    assert {"_solve_stage", "_best_responses", "_gradients", "_price_log_yz", "_libm",
+            "_performance", "_exp_capped"} <= set(reachable(functions(source), CSV_PATH[game]))
+    assert source.count("_libm(math.exp, exponent[~fade]) / ps") == 1
+    planted = source.replace("_libm(math.exp, exponent[~fade]) / ps",
+                             "np.exp(exponent[~fade]) / ps")
+    assert violations(planted, CSV_PATH[game]) == ["_gradients: np.exp"]
+
+
+def test_guard_follows_the_primitives_passed_to_the_performance_term():
+    # measure_followers hands its exp to _performance; the numpy capped exp
+    # in its place reaches the CSVs without a call in measure_followers itself.
+    source = inspect.getsource(game)
+    assert source.count("partial(_libm, _exp_capped)") == 1
+    planted = source.replace("partial(_libm, _exp_capped)", "_np_exp_capped")
+    assert violations(planted, CSV_PATH[game]) == ["_np_exp_capped: np.exp"]
+    assert source.count("_price_log_yz(powers, cfg, partial(_libm, math.log))") == 1
+    planted = source.replace("_price_log_yz(powers, cfg, partial(_libm, math.log))",
+                             "_price_log_yz(powers, cfg, np.log)")
+    assert violations(planted, CSV_PATH[game]) == ["measure_followers: np.log"]
+
+
+def test_guard_reaches_the_link_formulas():
+    source = inspect.getsource(link)
+    assert source.count("math.exp(mod.a * gamma ** mod.b)") == 1
+    planted = source.replace("math.exp(mod.a * gamma ** mod.b)", "np.exp(mod.a * gamma ** mod.b)")
+    assert violations(planted, CSV_PATH[link]) == ["pdr_from_sinr: np.exp"]
 
 
 def test_guard_reaches_the_trajectory_formatter():
