@@ -13,7 +13,8 @@ The fading state is built and advanced in blocks of link rows.  Every link
 evolves on its own and its oscillator sum is one reduction over its own
 oscillators, so a block computes exactly the bits the whole array would.
 numpy releases the GIL inside its loops, so with more than one block the
-blocks run on a thread pool that lives for one call.
+blocks run on a thread pool that lives for one call.  The random draws are
+made block by block too, so the state is never held beside a whole draw.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,12 +111,16 @@ class FadingState:
     has unit mean square; consecutive samples are highly correlated for small
     normalized Doppler (zero Doppler freezes the process).
 
-    The angles and phases are drawn whole, in that order, so the fading
-    stream does not depend on the blocking.  The oscillators and rotations
-    are then filled block by block of link rows, and advance steps and sums
-    each block into its rows of the result.  Each element goes through the
-    same operations as on the whole array, so the amplitudes are bit for bit
-    those of an unblocked state, serial or threaded.
+    The angles, and then the phases, are drawn block by block in block
+    order, each block taking the next slice of the stream, so the fading
+    stream does not depend on the blocking: chunked uniform draws return the
+    doubles of one whole draw.  Each block's rotations and oscillators are
+    filled from its own draw, and advance steps and sums each block into its
+    rows of the result.  Each element goes through the same operations as on
+    the whole array, so the amplitudes are bit for bit those of an unblocked
+    state, serial or threaded.  Besides the state, the fill holds a block's
+    draw for each block in flight, at most one per thread, plus the one
+    being drawn: never a whole draw.
     """
 
     def __init__(self, shape: tuple[int, int], n_osc: int, doppler: float,
@@ -130,25 +136,51 @@ class FadingState:
         self._rot = np.empty(shape + (n_osc,), dtype=complex)
         self._norm = 1.0 / math.sqrt(n_osc)
         turn = 2.0 * math.pi * doppler
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
-        # The rotations are built before the phases are drawn, so the angles
-        # are freed before the phases exist.
-        self._run(lambda b: np.exp(1j * (turn * np.cos(angles[b])), out=self._rot[b]))
-        del angles
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
-        self._run(lambda b: np.exp(1j * phases[b], out=self._osc[b]))
 
-    def _run(self, block_fn) -> None:
-        """Call block_fn on every block, on a short-lived thread pool if there are several."""
+        def draw(b: slice) -> np.ndarray:
+            return rng.uniform(0.0, 2.0 * math.pi, size=self._osc[b].shape)
+
+        # exp(1j * (turn * cos(angle))) and exp(1j * phase), each step written
+        # over its input or into the state: the same ufuncs on the same
+        # operands, without a temporary.
+        def rotations(b: slice, angles: np.ndarray) -> None:
+            np.multiply(turn, np.cos(angles, out=angles), out=angles)
+            np.exp(np.multiply(1j, angles, out=self._rot[b]), out=self._rot[b])
+
+        def oscillators(b: slice, phases: np.ndarray) -> None:
+            np.exp(np.multiply(1j, phases, out=self._osc[b]), out=self._osc[b])
+
+        self._run(rotations, draw)
+        self._run(oscillators, draw)
+
+    def _run(self, block_fn, draw=None) -> None:
+        """Call block_fn(b), or block_fn(b, draw(b)) in a fill, on every block
+        b: on a short-lived thread pool if there are several.  A fill draws on
+        this thread in block order, the next block while at most one block per
+        thread is in flight, so it holds at most threads + 1 draws; advance
+        queues every block at once."""
         threads = min(self._threads, len(self._blocks))
         if threads == 1:
             for b in self._blocks:
-                block_fn(b)
+                if draw is None:
+                    block_fn(b)
+                else:
+                    block_fn(b, draw(b))
             return
         from concurrent.futures import ThreadPoolExecutor   # here: one block never needs it
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(block_fn, self._blocks):
-                pass
+            if draw is None:
+                for _ in pool.map(block_fn, self._blocks):
+                    pass
+                return
+            in_flight = deque()
+            for b in self._blocks:
+                drawn = draw(b)
+                if len(in_flight) == threads:
+                    in_flight.popleft().result()
+                in_flight.append(pool.submit(block_fn, b, drawn))
+            for future in in_flight:
+                future.result()
 
     def advance(self) -> np.ndarray:
         """Step every link by one stage and return the new envelope amplitudes."""
@@ -163,10 +195,13 @@ class FadingState:
         return amplitudes
 
 
-def gain_matrix(pl_amplitudes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """Per-stage linear power gains G[j, i] = (A_PL * A_SSF * (d0/d)**(alpha/2))**2."""
+def gain_matrix(pl_amplitudes: np.ndarray, amplitudes: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Per-stage linear power gains G[j, i] = (A_PL * A_SSF * (d0/d)**(alpha/2))**2,
+    written into out if given."""
     if amplitudes.shape != pl_amplitudes.shape:
         raise ValueError(
             f"fading shape {amplitudes.shape} does not match topology {pl_amplitudes.shape}"
         )
-    return (pl_amplitudes * amplitudes) ** 2
+    product = np.multiply(pl_amplitudes, amplitudes, out=out)
+    return np.square(product, out=product)

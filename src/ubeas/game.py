@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -469,16 +470,30 @@ class Trajectory:
     config: GameConfig
 
     @property
-    def records(self) -> tuple[StageRecord, ...]:
-        """The stages as StageRecord views of the outcome rows."""
-        xs = [None] * len(self.outcomes) if self.x is None else self.x.tolist()
-        return tuple(StageRecord(t, x, self.behaviors, row)
-                     for t, (x, row) in enumerate(zip(xs, self.outcomes), 1))
+    def records(self) -> Sequence[StageRecord]:
+        """The stages as StageRecord views of the outcome rows, each built when indexed."""
+        return _StageRecords(self)
 
     @property
     def convergence_stage(self) -> int | None:
         hits = np.flatnonzero(self.x == 1.0) if self.x is not None else ()
         return int(hits[0]) + 1 if len(hits) else None
+
+
+class _StageRecords(Sequence):
+    """A Trajectory's stages in order; an int index, negative included, builds one StageRecord."""
+
+    def __init__(self, trajectory: Trajectory) -> None:
+        self._trajectory = trajectory
+
+    def __len__(self) -> int:
+        return len(self._trajectory.outcomes)
+
+    def __getitem__(self, index: int) -> StageRecord:
+        traj = self._trajectory
+        k = range(len(self))[operator.index(index)]
+        return StageRecord(k + 1, None if traj.x is None else float(traj.x[k]), traj.behaviors,
+                           traj.outcomes[k])
 
 
 def class_means(record: StageRecord) -> tuple[dict, dict]:
@@ -547,33 +562,35 @@ def play_stages(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: f
     on its (B, M, M) gains, then the (B, M) RECORD_DTYPE outcome rows.
 
     x is the leader's satisfaction, one for the whole block, or None for the
-    leaderless game.  memos holds one list per row: x, the bytes of the row's
-    reference powers and gains, and its outcomes, for the row's last two
-    stages.  The outcomes depend on nothing else, so a row whose key repeats
-    is a copy, and only the rows that miss are solved.
+    leaderless game.  memos, if given, holds one list per row: x, the bytes
+    of the row's reference powers and gains, and its outcomes, for the row's
+    last two stages.  The outcomes depend on nothing else, so a row whose key
+    repeats is a copy, and only the rows that miss are solved.  Without memos
+    every row is solved.
     """
     shape = reference_powers.shape
-    if memos is None:
-        memos = [[] for _ in range(shape[0])]
     outcomes = np.zeros(shape, RECORD_DTYPE)
-    keys = [(x, p.tobytes(), g.tobytes()) for p, g in zip(reference_powers, gains)]
-    miss = []
-    for r, (key, memo) in enumerate(zip(keys, memos)):
-        hit = next((row for *stored, row in memo if tuple(stored) == key), None)
-        if hit is None:
-            miss.append(r)
-        else:
-            outcomes[r] = hit
+    miss = list(range(shape[0]))
+    if memos is not None:
+        keys = [(x, p.tobytes(), g.tobytes()) for p, g in zip(reference_powers, gains)]
+        miss = []
+        for r, (key, memo) in enumerate(zip(keys, memos)):
+            hit = next((row for *stored, row in memo if tuple(stored) == key), None)
+            if hit is None:
+                miss.append(r)
+            else:
+                outcomes[r] = hit
     if miss:
         rows = miss if len(miss) < shape[0] else slice(None)
         # Python's float arithmetic: a division by zero raises, an overflow is silent.
         with np.errstate(divide="raise", over="ignore", invalid="ignore"):
             outcomes[rows] = _solve_stage(behaviors, targets, x, reference_powers[rows],
                                           gains[rows], cfg)
-        stored = np.zeros((len(miss), shape[1]), RECORD_DTYPE)
-        stored[:] = outcomes[rows]
-        for r, row in zip(miss, stored):
-            memos[r][:] = [keys[r] + (row,)] + memos[r][:1]
+        if memos is not None:
+            stored = np.zeros((len(miss), shape[1]), RECORD_DTYPE)
+            stored[:] = outcomes[rows]
+            for r, row in zip(miss, stored):
+                memos[r][:] = [keys[r] + (row,)] + memos[r][:1]
     return outcomes
 
 
@@ -611,8 +628,9 @@ def play_repetitions(cfg: GameConfig, repetitions: range, behaviors: list[Behavi
     fading state, so both games with the same seed see the identical channel
     and a repetition's outcomes do not depend on its block.  The powers
     substreams, in repetition order, are left to the stage policy after the
-    initial draw.  The outcomes fill one (B, T, M) table; each Trajectory
-    holds its repetition's view of it.
+    initial draw.  Each stage's gains are written into one (B, M, M) buffer.
+    The outcomes fill one (B, T, M) table; each Trajectory holds its
+    repetition's view of it, and of the buffer's last gains.
     """
     rngs = [rng_streams(cfg.seed, rep) for rep in repetitions]
     topologies = [generate_topology(cfg, r.topology, behaviors) for r in rngs]
@@ -625,12 +643,17 @@ def play_repetitions(cfg: GameConfig, repetitions: range, behaviors: list[Behavi
     powers_rngs = [r.powers for r in rngs]
 
     table = np.zeros((len(rngs), cfg.stages, m), RECORD_DTYPE)
-    x, xs, memos = None, [], [[] for _ in rngs]
+    gains = np.empty((len(rngs), m, m))
+    # At zero Doppler every oscillator turns by exactly 1+0j, so stage 1's
+    # gains hold and a stage's inputs can repeat; a fading channel's never do,
+    # so it keeps no memo.
+    frozen = cfg.doppler == 0.0
+    memos = [[] for _ in rngs] if frozen else None
+    x, xs = None, []
     for t in range(1, cfg.stages + 1):
-        # At zero Doppler every oscillator turns by exactly 1+0j, so stage 1's gains hold.
-        if t == 1 or cfg.doppler > 0.0:
-            gains = np.array([gain_matrix(pl_amp, state.advance())
-                              for pl_amp, state in zip(pl_amps, fading)])
+        if t == 1 or not frozen:
+            for out, pl_amp, state in zip(gains, pl_amps, fading):
+                gain_matrix(pl_amp, state.advance(), out=out)
         x, rows = stage(pairs, targets, x, powers, gains, t, powers_rngs, memos)
         table[:, t - 1] = rows
         xs.append(x)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -194,6 +195,15 @@ def _named(exc: Exception, name: str) -> Exception:
     return RuntimeError(f"{name} failed: {exc}")
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):   # no sysconf, or no such name
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None   # -1: indeterminate
+
+
 def _run_block(args: tuple[GameConfig, str, range]) -> list[Trajectory]:
     cfg, kind, reps = args
     try:
@@ -217,7 +227,8 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
     The repetitions are played in contiguous blocks, in lockstep within a
     block; with jobs > 1 each pool task is one block.  Deterministic for a
     fixed seed regardless of jobs and blocking; repetitions are always
-    aggregated in index order.
+    aggregated in index order.  A run whose one repetition's fading state
+    exceeds the machine's physical memory is rejected before any block starts.
     """
     if game not in GAMES:
         raise ValueError(f"unknown game kind {game!r}; expected one of {tuple(GAMES)}")
@@ -225,6 +236,11 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
     # A forking pool starts every worker at its first submit: one per repetition is enough.
     jobs = min(jobs, reps)
     fading_bytes = cfg.num_pairs * cfg.num_pairs * cfg.jakes_oscillators * 32
+    memory = _physical_memory()
+    if memory is not None and fading_bytes > memory:
+        raise ConfigError(f"one repetition's fading state needs {fading_bytes} bytes "
+                          f"(num_pairs**2 * jakes_oscillators * 32), more than this "
+                          f"machine's {memory} bytes of physical memory")
     size = min(max(1, _BLOCK_FADING_BYTES // fading_bytes), -(-reps // jobs))
     tasks = [(cfg, game, range(start, min(start + size, reps))) for start in range(0, reps, size)]
     if jobs > 1:

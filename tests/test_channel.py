@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,3 +239,34 @@ def test_a_pool_worker_runs_its_blocks_serially(method):
     with concurrent.futures.ProcessPoolExecutor(2, mp_context=context) as pool:
         assert pool.submit(FadingState, *args).result(timeout=120)._threads == 1
     assert FadingState(*args)._threads == channel._CORES
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fading_init_holds_the_state_and_its_blocks_in_flight_never_a_whole_draw(monkeypatch,
+                                                                                   threads):
+    shape, n_osc = (192, 192), 16
+    monkeypatch.setattr(channel, "_CORES", threads)
+    rng = rng_streams(31, 4).fading
+    tracemalloc.start()
+    try:
+        fading = FadingState(shape, n_osc, 0.01, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    oscillators = shape[0] * shape[1] * n_osc
+    state = 32 * oscillators
+    whole_draw = 8 * oscillators
+    block_draw = 8 * fading._rot[fading._blocks[0]].size
+    assert len(fading._blocks) == 5 and fading._threads == threads
+    # Serially one block is drawn at a time; threaded, one per thread is in
+    # flight and the next is being drawn.  Each thread may also hold numpy's
+    # casting buffer of complex elements, and the interpreter a few objects.
+    in_flight = block_draw * (1 if threads == 1 else threads + 1)
+    slack = threads * np.getbufsize() * 16 + (64 << 10)
+    assert peak < state + in_flight + slack
+    assert peak < state + whole_draw
+    # Both draws took the stream's first 2 * oscillators doubles, as whole draws would.
+    reference = rng_streams(31, 4).fading
+    reference.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
+    reference.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
+    assert rng.random() == reference.random()

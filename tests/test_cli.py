@@ -59,6 +59,33 @@ def test_run_reports_a_repetition_out_of_memory_as_a_config_error(tmp_path, caps
     assert "Traceback" not in err
 
 
+def test_run_rejects_a_fading_state_larger_than_physical_memory(tmp_path, capsys, monkeypatch):
+    started = []
+    monkeypatch.setitem(harness.GAMES, "ubeas", lambda cfg, reps: started.append(reps))
+    fading_bytes = 6 * 6 * 16 * 32   # num_pairs**2 * jakes_oscillators * 32
+    monkeypatch.setattr(harness, "_physical_memory", lambda: fading_bytes - 1)
+    cfg = tmp_path / "cell.cfg"
+    write_small_config(cfg)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ubeas: ")
+    assert f"needs {fading_bytes} bytes" in err[0]
+    assert f"{fading_bytes - 1} bytes of physical memory" in err[0]
+    assert started == []
+
+
+def test_physical_memory_is_unknown_where_sysconf_cannot_say(monkeypatch):
+    assert harness._physical_memory() > 0
+    for error in (AttributeError, ValueError, OSError):
+        def failing(name, error=error):
+            raise error(name)
+
+        monkeypatch.setattr(harness.os, "sysconf", failing)
+        assert harness._physical_memory() is None
+    monkeypatch.setattr(harness.os, "sysconf", lambda name: -1)
+    assert harness._physical_memory() is None
+
+
 def test_bad_cli_usage_is_validation_error(capsys):
     assert main(["run", "--game", "checkers"]) == 1
 

@@ -755,6 +755,42 @@ def test_memo_never_hits_on_a_fading_channel_or_rerandomized_npc(monkeypatch, na
         assert all(args[3].shape == (1, cfg.num_pairs) for args in played)
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_only_a_frozen_channel_keeps_a_memo(monkeypatch, name):
+    kept = []
+
+    def recording(behaviors, targets, x, reference_powers, gains, cfg, memos=None):
+        kept.append(memos)
+        return PLAY_STAGES(behaviors, targets, x, reference_powers, gains, cfg, memos)
+
+    monkeypatch.setattr(game, "play_stages", recording)
+    monkeypatch.setattr(npc, "play_stages", recording)
+    for doppler in (0.01, 0.0):
+        kept.clear()
+        RUNS[name](GameConfig(num_pairs=6, stages=20, doppler=doppler))
+        assert len(kept) == 20
+        if doppler:
+            assert all(memos is None for memos in kept)
+        else:
+            assert all(len(memos) == 1 and memos[0] for memos in kept)
+
+
+def test_records_build_only_the_stage_they_are_asked_for(monkeypatch):
+    cfg = GameConfig(num_pairs=6, stages=20, doppler=0.0)
+    traj = run_game(cfg)
+    records = traj.records
+    built = count_calls(monkeypatch, game, "StageRecord")
+    last = records[-1]
+    assert len(built) == 1 and len(records) == cfg.stages
+    assert (last.t, last.x, last.behaviors) == (cfg.stages, float(traj.x[-1]), traj.behaviors)
+    assert last.outcomes.tobytes() == traj.outcomes[-1].tobytes()
+    assert records[-cfg.stages].t == records[0].t == 1
+    for index in (cfg.stages, -cfg.stages - 1):
+        with pytest.raises(IndexError):
+            records[index]
+    assert [record.t for record in records] == list(range(1, cfg.stages + 1))
+
+
 def test_reuse_solves_again_when_only_satisfaction_changes():
     cfg = GameConfig(num_pairs=3)
     rng = np.random.default_rng(55)
