@@ -137,9 +137,6 @@ class FadingState:
         self._norm = 1.0 / math.sqrt(n_osc)
         turn = 2.0 * math.pi * doppler
 
-        def draw(b: slice) -> np.ndarray:
-            return rng.uniform(0.0, 2.0 * math.pi, size=self._osc[b].shape)
-
         # exp(1j * (turn * cos(angle))) and exp(1j * phase), each step written
         # over its input or into the state: the same ufuncs on the same
         # operands, without a temporary.
@@ -150,29 +147,37 @@ class FadingState:
         def oscillators(b: slice, phases: np.ndarray) -> None:
             np.exp(np.multiply(1j, phases, out=self._osc[b]), out=self._osc[b])
 
-        self._run(rotations, draw)
-        self._run(oscillators, draw)
+        self._fill(rotations, rng)
+        self._fill(oscillators, rng)
 
-    def _run(self, block_fn, draw=None) -> None:
-        """Call block_fn(b), or block_fn(b, draw(b)) in a fill, on every block
-        b: on a short-lived thread pool if there are several.  A fill draws on
-        this thread in block order, the next block while at most one block per
-        thread is in flight, so it holds at most threads + 1 draws; advance
-        queues every block at once."""
+    def _run(self, block_fn) -> None:
+        """Call block_fn on every block, on a short-lived thread pool if there are several."""
         threads = min(self._threads, len(self._blocks))
         if threads == 1:
             for b in self._blocks:
-                if draw is None:
-                    block_fn(b)
-                else:
-                    block_fn(b, draw(b))
+                block_fn(b)
             return
         from concurrent.futures import ThreadPoolExecutor   # here: one block never needs it
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            if draw is None:
-                for _ in pool.map(block_fn, self._blocks):
-                    pass
-                return
+            for _ in pool.map(block_fn, self._blocks):
+                pass
+
+    def _fill(self, block_fn, rng: np.random.Generator) -> None:
+        """Call block_fn(b, draw) on every block b, draw being the block's slice
+        of the next uniform [0, 2*pi) draw from rng.  The draws are made on
+        this thread in block order; on a thread pool the next block is drawn
+        while at most one block per thread is in flight, so a fill holds at
+        most threads + 1 draws."""
+        def draw(b: slice) -> np.ndarray:
+            return rng.uniform(0.0, 2.0 * math.pi, size=self._osc[b].shape)
+
+        threads = min(self._threads, len(self._blocks))
+        if threads == 1:
+            for b in self._blocks:
+                block_fn(b, draw(b))
+            return
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             in_flight = deque()
             for b in self._blocks:
                 drawn = draw(b)

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -470,30 +469,16 @@ class Trajectory:
     config: GameConfig
 
     @property
-    def records(self) -> Sequence[StageRecord]:
-        """The stages as StageRecord views of the outcome rows, each built when indexed."""
-        return _StageRecords(self)
+    def records(self) -> tuple[StageRecord, ...]:
+        """The stages as StageRecord views of the outcome rows."""
+        xs = [None] * len(self.outcomes) if self.x is None else self.x.tolist()
+        return tuple(StageRecord(t, x, self.behaviors, row)
+                     for t, (x, row) in enumerate(zip(xs, self.outcomes), 1))
 
     @property
     def convergence_stage(self) -> int | None:
         hits = np.flatnonzero(self.x == 1.0) if self.x is not None else ()
         return int(hits[0]) + 1 if len(hits) else None
-
-
-class _StageRecords(Sequence):
-    """A Trajectory's stages in order; an int index, negative included, builds one StageRecord."""
-
-    def __init__(self, trajectory: Trajectory) -> None:
-        self._trajectory = trajectory
-
-    def __len__(self) -> int:
-        return len(self._trajectory.outcomes)
-
-    def __getitem__(self, index: int) -> StageRecord:
-        traj = self._trajectory
-        k = range(len(self))[operator.index(index)]
-        return StageRecord(k + 1, None if traj.x is None else float(traj.x[k]), traj.behaviors,
-                           traj.outcomes[k])
 
 
 def class_means(record: StageRecord) -> tuple[dict, dict]:

@@ -195,13 +195,33 @@ def _named(exc: Exception, name: str) -> Exception:
     return RuntimeError(f"{name} failed: {exc}")
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
+# A control group's memory limit, read where a container sees its own group:
+# cgroup v2's memory.max ("max" is no limit), then v1's limit_in_bytes (no
+# limit reads as a figure beyond any machine's memory).
+_CGROUP_MEMORY_LIMITS = (Path("/sys/fs/cgroup/memory.max"),
+                         Path("/sys/fs/cgroup/memory/memory.limit_in_bytes"))
+
+
+def _memory_limit() -> int | None:
+    """Bytes of memory a run may use: the machine's physical memory, or its
+    control group's limit where that is readable and smaller; None where
+    neither is known."""
+    figures = []
     try:
         pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):   # no sysconf, or no such name
-        return None
-    return pages * page_size if pages > 0 and page_size > 0 else None   # -1: indeterminate
+        pass
+    else:
+        if pages > 0 and page_size > 0:   # -1: indeterminate
+            figures.append(pages * page_size)
+    for path in _CGROUP_MEMORY_LIMITS:
+        try:
+            text = path.read_text().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            figures.append(int(text))
+    return min(figures, default=None)
 
 
 def _run_block(args: tuple[GameConfig, str, range]) -> list[Trajectory]:
@@ -228,7 +248,8 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
     block; with jobs > 1 each pool task is one block.  Deterministic for a
     fixed seed regardless of jobs and blocking; repetitions are always
     aggregated in index order.  A run whose one repetition's fading state
-    exceeds the machine's physical memory is rejected before any block starts.
+    exceeds the memory a run may use (_memory_limit) is rejected before any
+    block starts.
     """
     if game not in GAMES:
         raise ValueError(f"unknown game kind {game!r}; expected one of {tuple(GAMES)}")
@@ -236,11 +257,12 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
     # A forking pool starts every worker at its first submit: one per repetition is enough.
     jobs = min(jobs, reps)
     fading_bytes = cfg.num_pairs * cfg.num_pairs * cfg.jakes_oscillators * 32
-    memory = _physical_memory()
+    memory = _memory_limit()
     if memory is not None and fading_bytes > memory:
         raise ConfigError(f"one repetition's fading state needs {fading_bytes} bytes "
-                          f"(num_pairs**2 * jakes_oscillators * 32), more than this "
-                          f"machine's {memory} bytes of physical memory")
+                          f"(num_pairs**2 * jakes_oscillators * 32), more than the "
+                          f"{memory} bytes of memory a run may use here (physical "
+                          f"memory, or the control group's limit if smaller)")
     size = min(max(1, _BLOCK_FADING_BYTES // fading_bytes), -(-reps // jobs))
     tasks = [(cfg, game, range(start, min(start + size, reps))) for start in range(0, reps, size)]
     if jobs > 1:

@@ -59,31 +59,52 @@ def test_run_reports_a_repetition_out_of_memory_as_a_config_error(tmp_path, caps
     assert "Traceback" not in err
 
 
-def test_run_rejects_a_fading_state_larger_than_physical_memory(tmp_path, capsys, monkeypatch):
+def test_run_rejects_a_fading_state_larger_than_its_memory_limit(tmp_path, capsys, monkeypatch):
     started = []
     monkeypatch.setitem(harness.GAMES, "ubeas", lambda cfg, reps: started.append(reps))
     fading_bytes = 6 * 6 * 16 * 32   # num_pairs**2 * jakes_oscillators * 32
-    monkeypatch.setattr(harness, "_physical_memory", lambda: fading_bytes - 1)
+    monkeypatch.setattr(harness, "_memory_limit", lambda: fading_bytes - 1)
     cfg = tmp_path / "cell.cfg"
     write_small_config(cfg)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ubeas: ")
     assert f"needs {fading_bytes} bytes" in err[0]
-    assert f"{fading_bytes - 1} bytes of physical memory" in err[0]
+    assert f"the {fading_bytes - 1} bytes of memory a run may use" in err[0]
     assert started == []
 
 
-def test_physical_memory_is_unknown_where_sysconf_cannot_say(monkeypatch):
-    assert harness._physical_memory() > 0
+def test_memory_limit_is_the_smaller_of_physical_memory_and_the_cgroup_limit(tmp_path, monkeypatch):
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(harness, "_CGROUP_MEMORY_LIMITS", (v2, v1))
+    monkeypatch.setattr(harness.os, "sysconf", lambda name: 4096)
+    physical = 4096 * 4096
+    assert harness._memory_limit() == physical            # no group files
+    v2.write_text("max\n")
+    v1.write_text(f"{1 << 63}\n")
+    assert harness._memory_limit() == physical            # no limit, either version
+    v2.write_text("1000\n")
+    assert harness._memory_limit() == 1000
+    v2.unlink()
+    v1.write_text(f"{physical + 1}\n")
+    assert harness._memory_limit() == physical
+    v1.write_text("2000\n")
+    assert harness._memory_limit() == 2000
+
+
+def test_memory_limit_is_unknown_where_neither_figure_is(tmp_path, monkeypatch):
+    assert harness._memory_limit() > 0
+    monkeypatch.setattr(harness, "_CGROUP_MEMORY_LIMITS", (tmp_path / "memory.max",))
     for error in (AttributeError, ValueError, OSError):
         def failing(name, error=error):
             raise error(name)
 
         monkeypatch.setattr(harness.os, "sysconf", failing)
-        assert harness._physical_memory() is None
+        assert harness._memory_limit() is None
     monkeypatch.setattr(harness.os, "sysconf", lambda name: -1)
-    assert harness._physical_memory() is None
+    assert harness._memory_limit() is None
+    (tmp_path / "memory.max").write_text("3000\n")
+    assert harness._memory_limit() == 3000
 
 
 def test_bad_cli_usage_is_validation_error(capsys):

@@ -775,22 +775,6 @@ def test_only_a_frozen_channel_keeps_a_memo(monkeypatch, name):
             assert all(len(memos) == 1 and memos[0] for memos in kept)
 
 
-def test_records_build_only_the_stage_they_are_asked_for(monkeypatch):
-    cfg = GameConfig(num_pairs=6, stages=20, doppler=0.0)
-    traj = run_game(cfg)
-    records = traj.records
-    built = count_calls(monkeypatch, game, "StageRecord")
-    last = records[-1]
-    assert len(built) == 1 and len(records) == cfg.stages
-    assert (last.t, last.x, last.behaviors) == (cfg.stages, float(traj.x[-1]), traj.behaviors)
-    assert last.outcomes.tobytes() == traj.outcomes[-1].tobytes()
-    assert records[-cfg.stages].t == records[0].t == 1
-    for index in (cfg.stages, -cfg.stages - 1):
-        with pytest.raises(IndexError):
-            records[index]
-    assert [record.t for record in records] == list(range(1, cfg.stages + 1))
-
-
 def test_reuse_solves_again_when_only_satisfaction_changes():
     cfg = GameConfig(num_pairs=3)
     rng = np.random.default_rng(55)
