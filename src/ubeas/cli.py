@@ -17,6 +17,7 @@ import sys
 from . import link
 from .config import ConfigError, GameConfig, load_config_file
 from .harness import (
+    GAMES,
     check_epsilon_nash,
     check_pareto_convergence,
     dump_topology_csv,
@@ -38,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment and emit CSV outputs")
     run.add_argument("--config", help="flat key = value config file")
-    run.add_argument("--game", choices=("ubeas", "npc"), default="ubeas")
+    run.add_argument("--game", choices=tuple(GAMES), default="ubeas")
     run.add_argument("--stages", type=int, help="override the number of stages T")
     run.add_argument("--reps", type=int, help="override the number of repetitions")
     run.add_argument("--seed", type=int, help="override the RNG seed")
@@ -82,8 +83,8 @@ def _cmd_run(args) -> int:
         cfg = _load_cfg(args)
         if args.verify == "nash" and cfg.doppler != 0.0:
             raise ConfigError("--verify nash requires --freeze-fading (a frozen channel)")
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.verify == "pareto" and args.game == "npc":
+            raise ConfigError("--verify pareto needs the leader's satisfaction: --game ubeas")
         summary, trajectories = run_experiment(cfg, game=args.game, jobs=args.jobs)
         files = emit_outputs(summary, trajectories, args.out)
         if args.dump_topology:

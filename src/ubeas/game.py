@@ -29,16 +29,16 @@ the feasible set [max(p_min, p_req), p_max] with p_req = g_bar * I / g_own;
 if even p_max cannot reach the target the follower transmits at p_max and is
 flagged as in outage.
 
-A block of B repetitions is played in lockstep.  Its state is x, one float
-per stage (the leader's recursion does not depend on the powers), and the
-(B, M) power array: play_stages maps them and the (B, M, M) gains to the
-stage's (B, M) outcome rows.  Every per-pair step runs as numpy arithmetic
-over the block, with libm's exp, log and pow element by element, since
-numpy's SIMD kernels differ from libm in the last bit and these values reach
-the CSVs.  Only pairs whose optimum lies inside their feasible set bisect, one
-at a time.  The NPC baseline (``npc``) is the same follower game with no
-leader and no price (x is None); both games run on play_stages and
-play_repetitions.
+The leader's choice does not react to the followers' powers (p_bar cancels
+from its argmax), so x is one path per run, leader_path.  A block of B
+repetitions is played in lockstep on the (B, M) power array: play_stages maps
+a stage's x, reference powers and (B, M, M) gains to its (B, M) outcome rows.
+Every per-pair step runs as numpy arithmetic over the block, with libm's exp,
+log and pow element by element, since numpy's SIMD kernels differ from libm
+in the last bit and these values reach the CSVs.  Only pairs whose optimum
+lies inside their feasible set bisect, one at a time.  The NPC baseline
+(``npc``) is the same follower game with no leader and no price (x is None);
+both games run on the one stage loop, play_repetitions.
 """
 
 from __future__ import annotations
@@ -524,98 +524,88 @@ def measure_followers(classes: np.ndarray, targets: np.ndarray, x: float | None,
     return record
 
 
-def _solve_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: float | None,
-                 reference_powers: np.ndarray, gains: np.ndarray, cfg: GameConfig) -> np.recarray:
-    """Best responses of (K, M) rows to their reference powers' interference,
-    then the (K, M) outcome records."""
+def play_stages(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: float | None,
+                reference_powers: np.ndarray, gains: np.ndarray, cfg: GameConfig) -> np.recarray:
+    """Best responses of a block's (K, M) rows to the interference of their
+    reference_powers on their (K, M, M) gains, then the (K, M) RECORD_DTYPE
+    outcome rows.  x is the leader's satisfaction, one for the whole block, or
+    None for the leaderless game."""
     shape = reference_powers.shape
     classes = np.tile([CLASS_ORDER.index(b) for b in behaviors], shape[0])
     pair_targets = np.tile(np.asarray(targets, dtype=float), shape[0])
     own = np.diagonal(gains, axis1=1, axis2=2).ravel()
-    powers, outages = _best_responses(
-        classes, pair_targets, x, own,
-        link.interference_all(reference_powers, gains, cfg.noise_power).ravel(), cfg)
-    interference = link.interference_all(powers.reshape(shape), gains, cfg.noise_power).ravel()
-    return measure_followers(classes, pair_targets, x, powers, own, interference, outages,
-                             cfg).reshape(shape)
-
-
-def play_stages(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: float | None,
-                reference_powers: np.ndarray, gains: np.ndarray, cfg: GameConfig,
-                memos: list[list] | None = None) -> np.ndarray:
-    """Best responses to the interference of a block's (B, M) reference_powers
-    on its (B, M, M) gains, then the (B, M) RECORD_DTYPE outcome rows.
-
-    x is the leader's satisfaction, one for the whole block, or None for the
-    leaderless game.  memos, if given, holds one list per row: x, the bytes
-    of the row's reference powers and gains, and its outcomes, for the row's
-    last two stages.  The outcomes depend on nothing else, so a row whose key
-    repeats is a copy, and only the rows that miss are solved.  Without memos
-    every row is solved.
-    """
-    shape = reference_powers.shape
-    outcomes = np.zeros(shape, RECORD_DTYPE)
-    miss = list(range(shape[0]))
-    if memos is not None:
-        keys = [(x, p.tobytes(), g.tobytes()) for p, g in zip(reference_powers, gains)]
-        miss = []
-        for r, (key, memo) in enumerate(zip(keys, memos)):
-            hit = next((row for *stored, row in memo if tuple(stored) == key), None)
-            if hit is None:
-                miss.append(r)
-            else:
-                outcomes[r] = hit
-    if miss:
-        rows = miss if len(miss) < shape[0] else slice(None)
-        # Python's float arithmetic: a division by zero raises, an overflow is silent.
-        with np.errstate(divide="raise", over="ignore", invalid="ignore"):
-            outcomes[rows] = _solve_stage(behaviors, targets, x, reference_powers[rows],
-                                          gains[rows], cfg)
-        if memos is not None:
-            stored = np.zeros((len(miss), shape[1]), RECORD_DTYPE)
-            stored[:] = outcomes[rows]
-            for r, row in zip(miss, stored):
-                memos[r][:] = [keys[r] + (row,)] + memos[r][:1]
-    return outcomes
+    # Python's float arithmetic: a division by zero raises, an overflow is silent.
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        powers, outages = _best_responses(
+            classes, pair_targets, x, own,
+            link.interference_all(reference_powers, gains, cfg.noise_power).ravel(), cfg)
+        interference = link.interference_all(powers.reshape(shape), gains, cfg.noise_power).ravel()
+        return measure_followers(classes, pair_targets, x, powers, own, interference, outages,
+                                 cfg).reshape(shape)
 
 
 def play_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: float | None,
-               reference_powers: np.ndarray, gains: np.ndarray, cfg: GameConfig,
-               memo: list | None = None) -> np.recarray:
-    """play_stages for one row: (M,) reference_powers, (M, M) gains and that
-    row's memo list; returns the (M,) outcome row."""
-    return play_stages(behaviors, targets, x, reference_powers[None], gains[None], cfg,
-                       None if memo is None else [memo]).view(np.recarray)[0]
+               reference_powers: np.ndarray, gains: np.ndarray, cfg: GameConfig) -> np.recarray:
+    """play_stages for one row: (M,) reference_powers and (M, M) gains; returns
+    the (M,) outcome row."""
+    return play_stages(behaviors, targets, x, reference_powers[None], gains[None], cfg)[0]
 
 
-def run_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x_prev: float | None,
-              prev_powers: np.ndarray, gains: np.ndarray, t: int, cfg: GameConfig,
-              memos: list[list] | None = None) -> tuple[float, np.ndarray]:
-    """Stage t of the game for a block: the leader's satisfaction and the (B, M) outcome rows.
+def leader_path(cfg: GameConfig) -> np.ndarray:
+    """The leader's satisfaction at stages 1..T: x_init at stage 1, then
+    leader_best_satisfaction(x of stage t - 1, t).  The followers' powers do
+    not enter it, so it is one path per run."""
+    xs = [cfg.x_init]
+    for t in range(2, cfg.stages + 1):
+        xs.append(leader_best_satisfaction(xs[-1], float(t), cfg.x_floor))
+    return np.array(xs)
 
-    The leader best-responds to x_prev (x_init at t = 1); each follower then
-    best-responds to the interference of its row of prev_powers with the new
-    satisfaction in its price and is measured on the current gains.  memos is
-    play_stages'.
+
+def run_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: float | None,
+              reference_powers: np.ndarray, gains: np.ndarray, cfg: GameConfig,
+              memo: list[list] | None = None) -> np.ndarray:
+    """One stage of a block: the (B, M) outcome rows of play_stages at
+    satisfaction x (None for the leaderless game).
+
+    memo, given on a frozen channel, holds one list per row: the key (x, bytes
+    of the row's reference powers) and outcome row of the row's last two
+    stages.  A row's gains never change there, so a row whose key repeats is a
+    copy, and only the rows that miss are solved.
     """
-    x = cfg.x_init if t == 1 else leader_best_satisfaction(x_prev, float(t), cfg.x_floor)
-    return x, play_stages(behaviors, targets, x, prev_powers, gains, cfg, memos)
+    if memo is None:
+        return play_stages(behaviors, targets, x, reference_powers, gains, cfg)
+    keys = [(x, p.tobytes()) for p in reference_powers]
+    outcomes = np.zeros(reference_powers.shape, RECORD_DTYPE)
+    miss = []
+    for r, (key, kept) in enumerate(zip(keys, memo)):
+        hit = next((row for stored, row in kept if stored == key), None)
+        if hit is None:
+            miss.append(r)
+        else:
+            outcomes[r] = hit
+    if miss:
+        solved = play_stages(behaviors, targets, x, reference_powers[miss], gains[miss], cfg)
+        outcomes[miss] = solved
+        for r, row in zip(miss, solved):
+            memo[r][:] = [(keys[r], row)] + memo[r][:1]
+    return outcomes
 
 
 def play_repetitions(cfg: GameConfig, repetitions: range, behaviors: list[BehaviorClass] | None,
-                     stage: Callable[..., tuple[float | None, np.ndarray]]) -> list[Trajectory]:
-    """Simulate a block of repetitions in lockstep: (x, rows) = stage(behaviors,
-    targets, x, powers, gains, t, powers_rngs, memos) at t = 1..T, each stage
-    answering the last one's x and (B, M) powers.
+                     xs: np.ndarray | None) -> list[Trajectory]:
+    """Simulate a block of repetitions in lockstep: at t = 1..T, run_stage at
+    the leader's xs[t - 1] (xs None: the leaderless game) answers the (B, M)
+    powers of the stage before.
 
     Each repetition draws its topology, fading and uniform-random initial
     powers from independent substreams of (seed, repetition) and keeps its own
     fading state, so both games with the same seed see the identical channel
-    and a repetition's outcomes do not depend on its block.  The powers
-    substreams, in repetition order, are left to the stage policy after the
-    initial draw.  Each stage's gains are written into one (B, M, M) buffer.
-    The outcomes fill one (B, T, M) table; each Trajectory holds its
-    repetition's view of it, and of the buffer's last gains.
+    and a repetition's outcomes do not depend on its block.  The leaderless
+    game with npc_rerandomize answers, from stage 2 on, a fresh uniform draw
+    from each repetition's powers substream, in repetition order, instead.
+    Each stage's gains are written into one (B, M, M) buffer.  The outcomes
+    fill one (B, T, M) table; each Trajectory holds its repetition's view of
+    it, and of the buffer's last gains.
     """
     rngs = [rng_streams(cfg.seed, rep) for rep in repetitions]
     topologies = [generate_topology(cfg, r.topology, behaviors) for r in rngs]
@@ -625,7 +615,6 @@ def play_repetitions(cfg: GameConfig, repetitions: range, behaviors: list[Behavi
     pairs = topologies[0].behaviors
     targets = [class_target_sinr(b, cfg) for b in pairs]
     pl_amps = [path_loss_amplitudes(topology, cfg) for topology in topologies]
-    powers_rngs = [r.powers for r in rngs]
 
     table = np.zeros((len(rngs), cfg.stages, m), RECORD_DTYPE)
     gains = np.empty((len(rngs), m, m))
@@ -633,28 +622,26 @@ def play_repetitions(cfg: GameConfig, repetitions: range, behaviors: list[Behavi
     # gains hold and a stage's inputs can repeat; a fading channel's never do,
     # so it keeps no memo.
     frozen = cfg.doppler == 0.0
-    memos = [[] for _ in rngs] if frozen else None
-    x, xs = None, []
-    for t in range(1, cfg.stages + 1):
+    memo = [[] for _ in rngs] if frozen else None
+    redraw = xs is None and cfg.npc_rerandomize
+    for t, x in enumerate([None] * cfg.stages if xs is None else xs.tolist(), 1):
         if t == 1 or not frozen:
             for out, pl_amp, state in zip(gains, pl_amps, fading):
                 gain_matrix(pl_amp, state.advance(), out=out)
-        x, rows = stage(pairs, targets, x, powers, gains, t, powers_rngs, memos)
+        if t > 1 and redraw:
+            powers = np.array([r.powers.uniform(cfg.p_min, cfg.p_max, size=m) for r in rngs])
+        rows = run_stage(pairs, targets, x, powers, gains, cfg, memo)
         table[:, t - 1] = rows
-        xs.append(x)
         powers = rows["power"].copy()
     table = table.view(np.recarray)
-    return [Trajectory(table[r], None if x is None else np.array(xs), pairs, topology, gains[r],
-                       cfg) for r, topology in enumerate(topologies)]
+    return [Trajectory(table[r], xs, pairs, topology, gains[r], cfg)
+            for r, topology in enumerate(topologies)]
 
 
 def run_games(cfg: GameConfig, repetitions: range,
               behaviors: list[BehaviorClass] | None = None) -> list[Trajectory]:
     """Simulate a block of repetitions of the Stackelberg game, in lockstep."""
-    return play_repetitions(
-        cfg, repetitions, behaviors,
-        lambda pairs, targets, x, powers, gains, t, _rngs, memos: run_stage(
-            pairs, targets, x, powers, gains, t, cfg, memos))
+    return play_repetitions(cfg, repetitions, behaviors, leader_path(cfg))
 
 
 def run_game(cfg: GameConfig, repetition: int = 0,

@@ -253,6 +253,8 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
     """
     if game not in GAMES:
         raise ValueError(f"unknown game kind {game!r}; expected one of {tuple(GAMES)}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     reps = cfg.repetitions
     # A forking pool starts every worker at its first submit: one per repetition is enough.
     jobs = min(jobs, reps)
@@ -381,10 +383,10 @@ def check_pareto_convergence(trajectory: Trajectory, window: int = 20) -> Pareto
     x = float(trajectory.x[-1])
     targets = [class_target_sinr(b, cfg) for b in behaviors]
     powers = trajectory.outcomes.power[-1].copy()
-    replay_stages, memo = 0, []
+    replay_stages = 0
     while replay_stages < window:
         replay_stages += 1
-        new_powers = play_stage(behaviors, targets, x, powers, gains, cfg, memo).power.copy()
+        new_powers = play_stage(behaviors, targets, x, powers, gains, cfg).power.copy()
         shift = float(np.max(np.abs(new_powers - powers)))
         powers = new_powers
         if shift < PARETO_EPSILON:

@@ -89,3 +89,17 @@ def test_the_engine_measures_through_the_traced_link_functions(monkeypatch):
     assert cfg.doppler > 0.0   # a fading channel: no stage repeats the last one
     run_games(cfg, range(r))
     assert calls == {"pdr_from_sinr": r * t * m, "interference_all": 2 * t}
+
+
+def test_the_cli_imports_scipy_whose_version_the_benchmark_reads():
+    # bench/sample.py reads sys.modules["scipy"].__version__ after importing
+    # these modules; a fresh interpreter, since this one has imported scipy
+    code = ("import sys\n"
+            "from ubeas import cli, config, harness\n"
+            "print('scipy' in sys.modules)\n")
+    src = str(Path(ubeas.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

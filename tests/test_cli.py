@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ubeas
-from ubeas import harness
+from ubeas import cli, harness
 from ubeas.cli import main
 from ubeas.config import ConfigError, GameConfig, load_config
 from ubeas.link import MODULATIONS
@@ -127,6 +127,32 @@ def test_verify_nash_passes_on_frozen_run(tmp_path, capsys):
                  "--freeze-fading", "--verify", "nash"])
     assert code == 0
     assert "nash verification passed" in capsys.readouterr().out
+
+
+def test_verify_pareto_rejects_the_leaderless_game(tmp_path, capsys):
+    # NPC has no satisfaction that could converge
+    cfg = tmp_path / "cell.cfg"
+    write_small_config(cfg)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--game", "npc", "--verify", "pareto"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("ubeas: --verify pareto")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    cfg = tmp_path / "cell.cfg"
+    write_small_config(cfg)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", jobs])
+    assert code == 1
+    assert capsys.readouterr().err == f"ubeas: jobs must be >= 1, got {jobs}\n"
+
+
+def test_game_choices_are_the_harness_games(monkeypatch):
+    monkeypatch.setattr(cli, "GAMES", {**harness.GAMES, "other": None})
+    for game in ("ubeas", "npc", "other"):
+        assert cli._build_parser().parse_args(["run", "--game", game]).game == game
 
 
 def test_verify_pareto_fails_before_convergence(tmp_path, capsys):

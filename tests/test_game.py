@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubeas import game, harness, link, npc
+from ubeas import game, link
 from ubeas.channel import FadingState
 from ubeas.config import CLASS_ORDER, BehaviorClass, ConfigError, GameConfig, rng_streams
 from ubeas.game import (
@@ -32,7 +32,6 @@ from ubeas.game import (
     run_game,
     satisfaction_price,
 )
-from ubeas.harness import check_pareto_convergence
 from ubeas.link import MODULATIONS
 from ubeas.npc import run_npc_game
 
@@ -589,10 +588,11 @@ def test_frozen_channel_powers_reach_fixed_point():
 
 
 def test_run_stage_protocol_ordering():
-    # leader reacts to previous powers first; followers then best-respond to
-    # the previous-stage interference using the freshly updated satisfaction
+    # the leader's x comes from its own path, not from the powers; the
+    # followers then best-respond to the previous-stage interference with
+    # that stage's satisfaction in their price
     from ubeas import link
-    from ubeas.game import run_stage
+    from ubeas.game import leader_path, run_stage
 
     cfg = GameConfig(num_pairs=3, stages=5)
     rng = np.random.default_rng(55)
@@ -603,19 +603,34 @@ def test_run_stage_protocol_ordering():
     behaviors = tuple(BehaviorClass)
     targets = [link_target(0.90, mod) for _ in behaviors]
     powers = np.array([float(rng.uniform(cfg.p_min, cfg.p_max)) for _ in behaviors])
+    xs = leader_path(cfg).tolist()
     # t = 1, x pinned at x_init; run_stage plays a block, here of one row
-    prev_x, rows = run_stage(behaviors, targets, None, powers[None], gains[None], 1, cfg)
+    assert xs[0] == cfg.x_init
+    rows = run_stage(behaviors, targets, xs[0], powers[None], gains[None], cfg)
     prev_powers = rows[0]["power"].copy()
 
-    x, rows = run_stage(behaviors, targets, prev_x, prev_powers[None], gains[None], 2, cfg)  # t = 2
+    rows = run_stage(behaviors, targets, xs[1], prev_powers[None], gains[None], cfg)  # t = 2
     row = rows.view(np.recarray)[0]
-    expected_x = leader_best_satisfaction(prev_x, 2.0, cfg.x_floor)
-    assert x == expected_x
+    assert xs[1] == leader_best_satisfaction(xs[0], 2.0, cfg.x_floor)
     interference = link.interference_all(prev_powers, gains, cfg.noise_power)
     for i, behavior in enumerate(behaviors):
         expected_p, _ = follower_best_response(
-            behavior, x, float(gains[i, i]), float(interference[i]), cfg)
+            behavior, xs[1], float(gains[i, i]), float(interference[i]), cfg)
         assert row.power[i] == expected_p
+
+
+def test_leader_path_is_the_recursion_and_every_repetitions_x(monkeypatch):
+    cfg = GameConfig(num_pairs=6, stages=40, repetitions=3)
+    xs = [cfg.x_init]
+    for t in range(2, cfg.stages + 1):
+        xs.append(leader_best_satisfaction(xs[-1], float(t), cfg.x_floor))
+    assert game.leader_path(cfg).tolist() == xs
+    steps = count_calls(monkeypatch, game, "leader_best_satisfaction")
+    trajectories = game.run_games(cfg, range(cfg.repetitions))
+    assert len(steps) == cfg.stages - 1   # once per run, not per stage of each repetition
+    for traj in trajectories:
+        assert traj.x.tolist() == xs
+        assert [record.x for record in traj.records] == xs
 
 
 def test_maximize_concave_golden_fallback_on_nonconcave_input():
@@ -654,12 +669,12 @@ def test_stage_class_means_recompute_from_members():
 # The stage memo: a row whose inputs repeat one of its last two is a copy.
 # ---------------------------------------------------------------------------
 
-PLAY_STAGES = game.play_stages
+RUN_STAGE = game.run_stage
 
 
-def solve_every_row(behaviors, targets, x, reference_powers, gains, cfg, memos=None):
-    """play_stages without the memo: every row solves and is measured at every stage."""
-    return PLAY_STAGES(behaviors, targets, x, reference_powers, gains, cfg)
+def solve_every_row(behaviors, targets, x, reference_powers, gains, cfg, memo=None):
+    """run_stage without the memo: every row solves and is measured at every stage."""
+    return RUN_STAGE(behaviors, targets, x, reference_powers, gains, cfg)
 
 
 def count_calls(monkeypatch, owner=game, name="measure_followers") -> list:
@@ -696,8 +711,7 @@ RUNS = {"ubeas": run_game, "npc": run_npc_game}
 
 def run_without_memo(monkeypatch, name, cfg):
     with monkeypatch.context() as patch:
-        patch.setattr(game, "play_stages", solve_every_row)
-        patch.setattr(npc, "play_stages", solve_every_row)
+        patch.setattr(game, "run_stage", solve_every_row)
         return RUNS[name](cfg)
 
 
@@ -742,40 +756,39 @@ def test_memo_never_hits_on_a_fading_channel_or_rerandomized_npc(monkeypatch, na
     assert cfg.npc_rerandomize
     measured = count_calls(monkeypatch)
     advanced = count_calls(monkeypatch, FadingState, "advance")
-    played = count_calls(monkeypatch, npc, "play_stages")
+    played = count_calls(monkeypatch, game, "play_stages")
     memo = RUNS[name](cfg)
-    assert len(measured) == cfg.stages
+    assert len(measured) == len(played) == cfg.stages
     assert len(advanced) == (1 if cfg.doppler == 0.0 else cfg.stages)
-    assert_same_bits(memo, run_without_memo(monkeypatch, name, cfg))
     if name == "npc":
         # stage 1 answers the initial powers, every later stage a fresh draw
         rng = rng_streams(cfg.seed, 0).powers
         stream = [rng.uniform(cfg.p_min, cfg.p_max, size=cfg.num_pairs) for _ in range(cfg.stages)]
         assert [args[3].tobytes() for args in played] == [draw.tobytes() for draw in stream]
         assert all(args[3].shape == (1, cfg.num_pairs) for args in played)
+    assert_same_bits(memo, run_without_memo(monkeypatch, name, cfg))
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_only_a_frozen_channel_keeps_a_memo(monkeypatch, name):
     kept = []
 
-    def recording(behaviors, targets, x, reference_powers, gains, cfg, memos=None):
-        kept.append(memos)
-        return PLAY_STAGES(behaviors, targets, x, reference_powers, gains, cfg, memos)
+    def recording(behaviors, targets, x, reference_powers, gains, cfg, memo=None):
+        kept.append(memo)
+        return RUN_STAGE(behaviors, targets, x, reference_powers, gains, cfg, memo)
 
-    monkeypatch.setattr(game, "play_stages", recording)
-    monkeypatch.setattr(npc, "play_stages", recording)
+    monkeypatch.setattr(game, "run_stage", recording)
     for doppler in (0.01, 0.0):
         kept.clear()
         RUNS[name](GameConfig(num_pairs=6, stages=20, doppler=doppler))
         assert len(kept) == 20
         if doppler:
-            assert all(memos is None for memos in kept)
+            assert all(memo is None for memo in kept)
         else:
-            assert all(len(memos) == 1 and memos[0] for memos in kept)
+            assert all(len(memo) == 1 and memo[0] for memo in kept)
 
 
-def test_reuse_solves_again_when_only_satisfaction_changes():
+def test_reuse_solves_again_when_only_satisfaction_changes(monkeypatch):
     cfg = GameConfig(num_pairs=3)
     rng = np.random.default_rng(55)
     gains = np.exp(rng.uniform(np.log(1e-12), np.log(1e-10), size=(3, 3)))
@@ -783,43 +796,37 @@ def test_reuse_solves_again_when_only_satisfaction_changes():
     gains[np.diag_indices(3)] = 3e-11
     behaviors = tuple(BehaviorClass)
     targets = [class_target_sinr(b, cfg) for b in behaviors]
-    reference = np.full(3, cfg.p_min)
-    powers, memo = [], []
+    reference = np.full((1, 3), cfg.p_min)
+    powers, memo = [], [[]]
+    played = count_calls(monkeypatch, game, "play_stages")
     for x in (0.001, 1.0):
-        row = game.play_stage(behaviors, targets, x, reference, gains, cfg, memo)
-        expected = solve_every_row(behaviors, targets, x, reference[None], gains[None], cfg)[0]
-        assert row.power.tobytes() == expected["power"].tobytes()
-        powers.append(row.power.tolist())
+        row = game.run_stage(behaviors, targets, x, reference, gains[None], cfg, memo)[0]
+        expected = game.play_stage(behaviors, targets, x, reference[0], gains, cfg)
+        assert row["power"].tobytes() == expected.power.tobytes()
+        powers.append(row["power"].tolist())
+    assert len(played) == 4   # both x miss the memo; each is checked against a fresh solve
     assert powers[0] != powers[1]
-    assert [key[0] for key in memo] == [1.0, 0.001]
+    assert [key[0] for key, _ in memo[0]] == [1.0, 0.001]
 
 
-def test_memo_hit_returns_a_copy_of_the_stored_row():
+def test_memo_hit_returns_a_copy_of_the_stored_row(monkeypatch):
     cfg = GameConfig(num_pairs=3)
-    gains = np.full((3, 3), 1e-12)
-    gains[np.diag_indices(3)] = 3e-11
+    gains = np.full((1, 3, 3), 1e-12)
+    gains[0][np.diag_indices(3)] = 3e-11
     behaviors = tuple(BehaviorClass)
     targets = [class_target_sinr(b, cfg) for b in behaviors]
-    reference, memo = np.full(3, cfg.p_min), []
-    first = game.play_stage(behaviors, targets, 1.0, reference, gains, cfg, memo)
-    second = game.play_stage(behaviors, targets, 1.0, reference, gains, cfg, memo)
-    assert len(memo) == 1
-    # Whole rows: a stored row and a hit are copied into zero-filled arrays,
+    reference, memo = np.full((1, 3), cfg.p_min), [[]]
+    played = count_calls(monkeypatch, game, "play_stages")
+    first = game.run_stage(behaviors, targets, 1.0, reference, gains, cfg, memo)
+    second = game.run_stage(behaviors, targets, 1.0, reference, gains, cfg, memo)
+    assert len(played) == 1 and len(memo[0]) == 1   # the second stage is a hit
+    [(_, stored)] = memo[0]
+    # Whole rows: stored rows and hits are copied into zero-filled arrays,
     # so the padding bytes of the aligned records are zero too.
-    assert second.tobytes() == first.tobytes() == memo[0][3].tobytes()
-    assert second is not memo[0][3] and first is not memo[0][3]
-    second.power[:] = cfg.p_max
-    assert memo[0][3]["power"].tolist() == first.power.tolist()
-
-
-def test_pareto_replay_is_unchanged_by_the_memo_on_criterion_9_seeds(monkeypatch):
-    for k in range(20):
-        cfg = GameConfig(doppler=0.0, seed=1007 + k, repetitions=1, stages=600)
-        traj = run_game(cfg)
-        report = check_pareto_convergence(traj)
-        with monkeypatch.context() as patch:
-            patch.setattr(game, "play_stages", solve_every_row)
-            assert check_pareto_convergence(traj) == report, cfg.seed
+    assert second.tobytes() == first.tobytes() == stored.tobytes()
+    assert not np.shares_memory(second, stored) and not np.shares_memory(first, stored)
+    second["power"][:] = cfg.p_max
+    assert stored["power"].tolist() == first["power"][0].tolist()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

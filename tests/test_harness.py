@@ -120,6 +120,13 @@ def test_run_experiment_rejects_unknown_game():
         run_experiment(SMALL, "chess")
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_experiment_rejects_fewer_than_one_job(jobs):
+    # 0 used to divide by zero and -1 to summarize no repetitions
+    with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+        run_experiment(SMALL, "ubeas", jobs=jobs)
+
+
 def test_emitted_files_and_headers(tmp_path):
     summary, trajectories = run_experiment(SMALL, "ubeas")
     files = emit_outputs(summary, trajectories, tmp_path)

@@ -15,10 +15,11 @@ import inspect
 
 from ubeas import game, harness, link, npc
 
-# The roots of the block engine, the one-row stage and the stage policies.
-CSV_PATH = {game: ("measure_followers", "play_stage", "play_stages", "run_stage",
+# The roots of the stage loop, its leader path and stage step, the solver and
+# the one-row stage, and both games.
+CSV_PATH = {game: ("measure_followers", "play_stage", "play_stages", "leader_path", "run_stage",
                    "play_repetitions", "run_games"),
-            npc: ("run_npc_stage", "run_npc_games"),
+            npc: ("run_npc_games",),
             link: ("interference_all", "pdr_from_sinr"),
             harness: ("summarize", "emit_outputs", "run_experiment")}
 NUMPY_FORBIDDEN = {"exp", "log", "log2", "log10", "power", "float_power", "expm1", "log1p",
@@ -84,7 +85,7 @@ def test_guard_reaches_the_best_response_gradient():
 
 def test_guard_reaches_the_block_engines_array_kernels():
     source = inspect.getsource(game)
-    assert {"_solve_stage", "_best_responses", "_gradients", "_price_log_yz", "_libm",
+    assert {"play_stages", "_best_responses", "_gradients", "_price_log_yz", "_libm",
             "_performance", "_exp_capped"} <= set(reachable(functions(source), CSV_PATH[game]))
     assert source.count("_libm(math.exp, exponent[~fade]) / ps") == 1
     planted = source.replace("_libm(math.exp, exponent[~fade]) / ps",
