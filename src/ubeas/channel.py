@@ -45,10 +45,6 @@ class CellTopology:
     behaviors: tuple[BehaviorClass, ...]
     distances: np.ndarray
 
-    @property
-    def num_pairs(self) -> int:
-        return len(self.behaviors)
-
 
 def _uniform_disc(rng: np.random.Generator, radius: float, center: np.ndarray) -> np.ndarray:
     r = radius * math.sqrt(rng.uniform())
@@ -56,18 +52,16 @@ def _uniform_disc(rng: np.random.Generator, radius: float, center: np.ndarray) -
     return center + np.array([r * math.cos(theta), r * math.sin(theta)])
 
 
-def generate_topology(cfg: GameConfig, rng: np.random.Generator,
-                      behaviors: list[BehaviorClass] | None = None) -> CellTopology:
-    """Draw one random cell layout.
+def generate_topology(cfg: GameConfig, rng: np.random.Generator) -> CellTopology:
+    """Draw one random cell layout of cfg.num_pairs pairs in the config's class
+    split, assign_behavior_classes.
 
     The BS sits at the origin; the cellular user and every pair's transmitter
     are uniform in the cell disc.  Each receiver is uniform in the disc of
     radius max_pair_distance around its transmitter, rejection-sampled to stay
     inside the cell and at least min_link_distance from every transmitter.
     """
-    if behaviors is None:
-        behaviors = assign_behavior_classes(cfg.num_pairs)
-    m = len(behaviors)
+    m = cfg.num_pairs
     bs = np.zeros(2)
     cellular = _uniform_disc(rng, cfg.cell_radius, bs)
     tx = np.vstack([_uniform_disc(rng, cfg.cell_radius, bs) for _ in range(m)])
@@ -86,7 +80,7 @@ def generate_topology(cfg: GameConfig, rng: np.random.Generator,
     rx = np.vstack([draw_rx(i) for i in range(m)])
     diff = tx[:, None, :] - rx[None, :, :]
     distances = np.linalg.norm(diff, axis=2)
-    return CellTopology(bs, cellular, tx, rx, tuple(behaviors), distances)
+    return CellTopology(bs, cellular, tx, rx, tuple(assign_behavior_classes(m)), distances)
 
 
 def path_loss_amplitudes(topology: CellTopology, cfg: GameConfig) -> np.ndarray:

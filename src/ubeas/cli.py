@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import sys
 
 from . import link
-from .config import ConfigError, GameConfig, load_config_file
+from .config import ConfigError, GameConfig, load_config_file, read_utf8
 from .harness import (
     GAMES,
     check_epsilon_nash,
@@ -50,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="zero Doppler: the channel is constant within a repetition")
     run.add_argument("--verify", choices=("nash", "pareto", "none"), default="none",
                      help="audit repetition 0 after the run")
-    run.add_argument("--jobs", type=int, default=1, help="parallel repetition workers")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="parallel repetition workers, at most one per usable core "
+                          "and per repetition")
     run.add_argument("--dump-topology", action="store_true",
                      help="also write repetition 0's layout as topology.csv")
 
@@ -127,22 +130,25 @@ def _is_number(cell: str) -> bool:
 
 def _cmd_fit(args) -> int:
     try:
+        try:
+            text = read_utf8(args.samples)
+        except ConfigError as exc:
+            raise link.FitError(str(exc)) from None
         samples = []
-        with open(args.samples, "r", encoding="utf-8", newline="") as fh:
-            rows = csv.reader(fh)
-            header_allowed = True
-            for row in rows:
-                if not any(cell.strip() for cell in row):
-                    continue
-                try:
-                    sinr, pdr = map(float, row)
-                    samples.append((sinr, pdr))
-                except ValueError:
-                    # Only the first non-blank row may be a header, and none of its cells is a number.
-                    if not header_allowed or any(map(_is_number, row)):
-                        raise link.FitError(f"line {rows.line_num}: expected two numbers "
-                                            f"sinr,pdr, got {','.join(row)!r}") from None
-                header_allowed = False
+        rows = csv.reader(io.StringIO(text, newline=""))
+        header_allowed = True
+        for row in rows:
+            if not any(cell.strip() for cell in row):
+                continue
+            try:
+                sinr, pdr = map(float, row)
+                samples.append((sinr, pdr))
+            except ValueError:
+                # Only the first non-blank row may be a header, and none of its cells is a number.
+                if not header_allowed or any(map(_is_number, row)):
+                    raise link.FitError(f"line {rows.line_num}: expected two numbers "
+                                        f"sinr,pdr, got {','.join(row)!r}") from None
+            header_allowed = False
         a_c, b_c = link.fit_pdr_params(samples)
     except (OSError, link.FitError) as exc:
         print(f"ubeas: {exc}", file=sys.stderr)

@@ -318,9 +318,19 @@ def load_config(source: str) -> GameConfig:
     return GameConfig(**overrides)
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; a ConfigError names the byte offset where it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte offset {exc.start})") from None
+
+
 def load_config_file(path) -> GameConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_config(fh.read())
+    return load_config(read_utf8(path))
 
 
 def dump_config(cfg: GameConfig) -> str:

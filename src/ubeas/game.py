@@ -591,8 +591,7 @@ def run_stage(behaviors: tuple[BehaviorClass, ...], targets: list[float], x: flo
     return outcomes
 
 
-def play_repetitions(cfg: GameConfig, repetitions: range, behaviors: list[BehaviorClass] | None,
-                     xs: np.ndarray | None) -> list[Trajectory]:
+def play_repetitions(cfg: GameConfig, repetitions: range, xs: np.ndarray | None) -> list[Trajectory]:
     """Simulate a block of repetitions in lockstep: at t = 1..T, run_stage at
     the leader's xs[t - 1] (xs None: the leaderless game) answers the (B, M)
     powers of the stage before.
@@ -608,8 +607,8 @@ def play_repetitions(cfg: GameConfig, repetitions: range, behaviors: list[Behavi
     it, and of the buffer's last gains.
     """
     rngs = [rng_streams(cfg.seed, rep) for rep in repetitions]
-    topologies = [generate_topology(cfg, r.topology, behaviors) for r in rngs]
-    m = topologies[0].num_pairs
+    topologies = [generate_topology(cfg, r.topology) for r in rngs]
+    m = cfg.num_pairs
     fading = [FadingState((m, m), cfg.jakes_oscillators, cfg.doppler, r.fading) for r in rngs]
     powers = np.array([r.powers.uniform(cfg.p_min, cfg.p_max, size=m) for r in rngs])
     pairs = topologies[0].behaviors
@@ -638,13 +637,11 @@ def play_repetitions(cfg: GameConfig, repetitions: range, behaviors: list[Behavi
             for r, topology in enumerate(topologies)]
 
 
-def run_games(cfg: GameConfig, repetitions: range,
-              behaviors: list[BehaviorClass] | None = None) -> list[Trajectory]:
+def run_games(cfg: GameConfig, repetitions: range) -> list[Trajectory]:
     """Simulate a block of repetitions of the Stackelberg game, in lockstep."""
-    return play_repetitions(cfg, repetitions, behaviors, leader_path(cfg))
+    return play_repetitions(cfg, repetitions, leader_path(cfg))
 
 
-def run_game(cfg: GameConfig, repetition: int = 0,
-             behaviors: list[BehaviorClass] | None = None) -> Trajectory:
+def run_game(cfg: GameConfig, repetition: int = 0) -> Trajectory:
     """Simulate one full repetition of the Stackelberg game."""
-    return run_games(cfg, range(repetition, repetition + 1), behaviors)[0]
+    return run_games(cfg, range(repetition, repetition + 1))[0]

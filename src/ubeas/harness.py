@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import link
+from . import channel, link
 from .channel import CellTopology
 from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig
 from .game import (
@@ -55,7 +55,8 @@ class ExperimentSummary:
     separately as outage_rate.  Post-convergence statistics use only stages
     where the leader satisfaction equals 1; the before/after partition covers
     every stage of a repetition exactly once.  Baseline (leaderless) runs only
-    fill the overall fields.
+    fill the overall fields.  convergence_stages and x_profile_ok hold the
+    run's one value once per repetition.
     """
 
     game: str
@@ -97,78 +98,78 @@ def _dbm(powers: np.ndarray) -> np.ndarray:
 
 
 def _total(values: np.ndarray) -> float:
-    """Left-to-right sum of a 1-D array, as a scalar loop adds it."""
-    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+    """Left-to-right sum of an array in C order, as a scalar loop adds it."""
+    return float(np.add.accumulate(values.ravel())[-1]) if values.size else 0.0
 
 
-def _stage_totals(values: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Per stage, the left-to-right sum over (rep, pair) of the (R, T, M) values
-    whose pair is in the (R, M) mask members."""
-    return np.add.accumulate(values.transpose(1, 0, 2)[:, members], axis=1)[:, -1]
+def _stage_totals(values: np.ndarray) -> np.ndarray:
+    """Per stage, the left-to-right sum over (rep, pair) of (R, T, k) values."""
+    return np.add.accumulate(values.transpose(1, 0, 2).reshape(values.shape[1], -1), axis=1)[:, -1]
+
+
+def _run_key(t: Trajectory) -> tuple:
+    """What one run's trajectories share: leader path (None: no leader), class split, shape."""
+    return None if t.x is None else t.x.tobytes(), t.behaviors, t.outcomes.shape
 
 
 def summarize(trajectories: list[Trajectory]) -> ExperimentSummary:
-    """Aggregate equal-shape trajectories into an ExperimentSummary.
+    """Aggregate the trajectories of one run into an ExperimentSummary.
 
-    Sums run in (repetition, stage, pair) order, left to right, so every
-    figure is the one a per-sample loop computes, bit for bit.
+    One run has one class split and one leader path (None for the leaderless
+    game), so one convergence stage: each is read from the first trajectory,
+    and a trajectory that differs in any of them, or in shape, is a
+    ValueError.  Sums run in (repetition, stage, pair) order, left to right,
+    so every figure is the one a per-sample loop computes, bit for bit.
     """
     if not trajectories:
         raise ValueError("cannot summarize an empty trajectory list")
-    shape = trajectories[0].outcomes.shape
-    if any(t.outcomes.shape != shape for t in trajectories):
-        raise ValueError("trajectories must all have the same number of stages and pairs")
-    stages = shape[0]
-    game = "npc" if trajectories[0].x is None else "ubeas"
+    first = trajectories[0]
+    if any(_run_key(t) != _run_key(first) for t in trajectories[1:]):
+        raise ValueError("the trajectories of one run share one game, leader path, class "
+                         "split and number of stages")
+    n_rep, stages = len(trajectories), len(first.outcomes)
+    conv = first.convergence_stage
 
     table = np.stack([t.outcomes for t in trajectories])
     dbm = _dbm(table["power"])
     served = ~table["outage"]
     pdr_served = np.where(served, table["pdr"], 0.0)   # + 0.0 leaves a sum unchanged
-    convergence = [t.convergence_stage for t in trajectories]
-    x_ok = [_x_profile_ok(t.x) if game == "ubeas" else False for t in trajectories]
-    conv = np.array([math.inf if c is None else c for c in convergence])[:, None, None]
-    stage_t = np.arange(1, stages + 1)[None, :, None]
-    before_mask = stage_t < conv
-    after_mask = stage_t >= conv
 
     power_n, pdr_n = {}, {}
     mean_power, mean_pdr, se_power, before, after = {}, {}, {}, {}, {}
     stage_power_dbm, stage_pdr_mean = {}, {}
     for b in BehaviorClass:
-        members = np.array([[behavior is b for behavior in t.behaviors] for t in trajectories])
-        in_class = np.broadcast_to(members[:, None, :], dbm.shape)
-        values = dbm[in_class]
+        members = np.array([behavior is b for behavior in first.behaviors])
+        values, class_served = dbm[:, :, members], served[:, :, members]
         power_n[b] = n = values.size
-        pdr_n[b] = np.count_nonzero(served[in_class])
+        pdr_n[b] = np.count_nonzero(class_served)
         if not n:
             continue
         mean_power[b] = mean_db = _total(values) / n
         var = max(_total(values * values) / n - mean_db * mean_db, 0.0)
         se_power[b] = math.sqrt(var / n)
         if pdr_n[b]:
-            mean_pdr[b] = _total(table["pdr"][in_class & served]) / pdr_n[b]
-        for mask, means in ((before_mask, before), (after_mask, after)):
-            part = dbm[in_class & mask]
-            if part.size:
-                means[b] = _total(part) / part.size
-        stage_power_dbm[b] = _stage_totals(dbm, members) / np.count_nonzero(members)
-        stage_pdr_n = np.count_nonzero(served.transpose(1, 0, 2)[:, members], axis=1)
+            mean_pdr[b] = _total(table["pdr"][:, :, members][class_served]) / pdr_n[b]
+        if conv is not None:
+            # Stage conv is the first whose satisfaction is 1: it starts "after".
+            for part, means in ((values[:, :conv - 1], before), (values[:, conv - 1:], after)):
+                if part.size:
+                    means[b] = _total(part) / part.size
+        stage_power_dbm[b] = _stage_totals(values) / (n_rep * np.count_nonzero(members))
+        stage_pdr_n = np.count_nonzero(class_served, axis=(0, 2))
         stage_pdr_mean[b] = np.where(
-            stage_pdr_n > 0, _stage_totals(pdr_served, members) / np.maximum(stage_pdr_n, 1),
-            np.nan)
-    has_partition = game == "ubeas" and any(c is not None for c in convergence)
-    n_rep = len(trajectories)
-    mean_x = None
-    if game == "ubeas":
-        mean_x = np.add.accumulate(np.stack([t.x for t in trajectories]), axis=0)[-1] / n_rep
+            stage_pdr_n > 0,
+            _stage_totals(pdr_served[:, :, members]) / np.maximum(stage_pdr_n, 1), np.nan)
+    # R copies of the one path, averaged: the bytes satisfaction.csv is pinned to.
+    mean_x = None if first.x is None else (
+        np.add.accumulate(np.broadcast_to(first.x, (n_rep, stages)), axis=0)[-1] / n_rep)
     return ExperimentSummary(
-        game=game,
+        game="npc" if first.x is None else "ubeas",
         repetitions=n_rep,
         stages=stages,
         mean_power_dbm=mean_power,
-        mean_power_dbm_before=before if has_partition else None,
-        mean_power_dbm_after=after if has_partition else None,
+        mean_power_dbm_before=before if conv is not None else None,
+        mean_power_dbm_after=after if conv is not None else None,
         mean_pdr=mean_pdr,
         se_power_db=se_power,
         count_power=power_n,
@@ -176,8 +177,8 @@ def summarize(trajectories: list[Trajectory]) -> ExperimentSummary:
         stage_mean_x=mean_x,
         stage_class_power_dbm=stage_power_dbm,
         stage_class_pdr=stage_pdr_mean,
-        convergence_stages=tuple(convergence),
-        x_profile_ok=tuple(x_ok),
+        convergence_stages=(conv,) * n_rep,
+        x_profile_ok=(first.x is not None and _x_profile_ok(first.x),) * n_rep,
         outage_rate=np.count_nonzero(~served) / served.size if served.size else 0.0,
     )
 
@@ -249,15 +250,16 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
     fixed seed regardless of jobs and blocking; repetitions are always
     aggregated in index order.  A run whose one repetition's fading state
     exceeds the memory a run may use (_memory_limit) is rejected before any
-    block starts.
+    block starts.  jobs is capped at the repetitions and the usable cores.
     """
     if game not in GAMES:
         raise ValueError(f"unknown game kind {game!r}; expected one of {tuple(GAMES)}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     reps = cfg.repetitions
-    # A forking pool starts every worker at its first submit: one per repetition is enough.
-    jobs = min(jobs, reps)
+    # A forking pool starts every worker at its first submit: one per repetition
+    # and per usable core is enough, and the outputs do not depend on jobs.
+    jobs = min(jobs, reps, channel._CORES)
     fading_bytes = cfg.num_pairs * cfg.num_pairs * cfg.jakes_oscillators * 32
     memory = _memory_limit()
     if memory is not None and fading_bytes > memory:

@@ -17,7 +17,7 @@ reach a fixed point on a frozen channel.
 
 from __future__ import annotations
 
-from .config import BehaviorClass, GameConfig
+from .config import GameConfig
 from .game import Trajectory, play_repetitions
 # Not called here: bench/tracing.py looks these names up in this module as well
 # as in game.  The one stage loop calls game.run_stage for both games, so the
@@ -27,18 +27,16 @@ from .game import class_means, maximize_concave, measure_followers  # noqa: F401
 from .game import run_stage as run_npc_stage  # noqa: F401
 
 
-def run_npc_games(cfg: GameConfig, repetitions: range,
-                  behaviors: list[BehaviorClass] | None = None) -> list[Trajectory]:
+def run_npc_games(cfg: GameConfig, repetitions: range) -> list[Trajectory]:
     """Simulate a block of repetitions of the baseline with the class mixture
     of the main game, in lockstep.
 
     Shares the topology and fading substreams with the main game, so a run
     with the same seed is a paired comparison over the identical channel.
     """
-    return play_repetitions(cfg, repetitions, behaviors, None)
+    return play_repetitions(cfg, repetitions, None)
 
 
-def run_npc_game(cfg: GameConfig, repetition: int = 0,
-                 behaviors: list[BehaviorClass] | None = None) -> Trajectory:
+def run_npc_game(cfg: GameConfig, repetition: int = 0) -> Trajectory:
     """Simulate one repetition of the baseline."""
-    return run_npc_games(cfg, range(repetition, repetition + 1), behaviors)[0]
+    return run_npc_games(cfg, range(repetition, repetition + 1))[0]

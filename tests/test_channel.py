@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -126,16 +127,17 @@ def test_gain_matrix_without_fading_matches_path_loss():
 
 
 def test_gain_matrix_symmetric_layout():
-    cfg = GameConfig()
-    topo = generate_topology(cfg, rng_streams(1, 0).topology, [BehaviorClass.CASUAL] * 2)
-    # square layout: tx on the left column, rx on the right, equal spacing
-    object.__setattr__(topo, "tx_positions", np.array([[0.0, 0.0], [0.0, 30.0]]))
-    object.__setattr__(topo, "rx_positions", np.array([[30.0, 0.0], [30.0, 30.0]]))
-    diff = topo.tx_positions[:, None, :] - topo.rx_positions[None, :, :]
-    object.__setattr__(topo, "distances", np.linalg.norm(diff, axis=2))
-    gains = gain_matrix(path_loss_amplitudes(topo, cfg), np.ones((2, 2)))
-    assert gains[0, 1] == gains[1, 0]
-    assert gains[0, 0] == gains[1, 1]
+    cfg = GameConfig(num_pairs=3)
+    topo = generate_topology(cfg, rng_streams(1, 0).topology)
+    # tx on the left column, rx on the right, equal spacing: the separation of
+    # tx j and rx i depends on |i - j| alone
+    tx = np.array([[0.0, 0.0], [0.0, 30.0], [0.0, 60.0]])
+    rx = tx + [30.0, 0.0]
+    topo = dataclasses.replace(topo, tx_positions=tx, rx_positions=rx,
+                               distances=np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2))
+    gains = gain_matrix(path_loss_amplitudes(topo, cfg), np.ones((3, 3)))
+    assert (gains == gains.T).all()
+    assert (np.diagonal(gains) == gains[0, 0]).all()
 
 
 def test_gain_matrix_elementwise_oracle():

@@ -172,6 +172,18 @@ def write_fit_samples(path):
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["run", "fit"])
+def test_input_that_is_not_utf8_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "input"
+    path.write_bytes(b"num_pairs = 6\n# \xff\n")   # 0xff never occurs in UTF-8
+    args = {"run": ["run", "--config", str(path), "--out", str(tmp_path / "o")],
+            "fit": ["fit", "--samples", str(path)]}[command]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"ubeas: {path}: not UTF-8 text (invalid start byte at byte offset 16)\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_subcommand(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
     write_fit_samples(samples)

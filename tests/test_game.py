@@ -536,18 +536,22 @@ def test_best_response_matches_grid_argmax():
 # Stage protocol.
 # ---------------------------------------------------------------------------
 
-def frozen_single_pair_cfg():
-    # run with a one-pair class list, which overrides num_pairs
-    return GameConfig(doppler=0.0, stages=12)
-
-
-def test_single_pair_settles_at_required_power():
-    cfg = frozen_single_pair_cfg()
-    traj = run_game(cfg, behaviors=[BehaviorClass.CASUAL])
-    own = float(traj.final_gains[0, 0])
+def test_casual_pair_settles_at_required_power():
+    # On a frozen channel the casual pair plays its required power against the
+    # interference of the stage before, summed pair by pair here, and the game
+    # settles.  At p_min = 1 uW its required power lies above p_min.
+    cfg = GameConfig(num_pairs=3, doppler=0.0, stages=12, p_min=1e-6)
+    traj = run_game(cfg)
+    powers, gains = traj.outcomes.power, traj.final_gains
+    i = traj.behaviors.index(BehaviorClass.CASUAL)
     target = class_target_sinr(BehaviorClass.CASUAL, cfg)
-    expected = max(cfg.p_min, target * cfg.noise_power / own)
-    assert (traj.outcomes.power[:, 0] == expected).all()
+    for before, now in zip(powers[:-1].tolist(), powers[1:].tolist()):
+        interference = cfg.noise_power + math.fsum(
+            p * g for j, (p, g) in enumerate(zip(before, gains[:, i].tolist())) if j != i)
+        assert now[i] == pytest.approx(max(cfg.p_min, target * interference / gains[i, i]),
+                                       rel=1e-12)
+    assert (powers[1:, i] > cfg.p_min).all()
+    assert (powers[-1] == powers[-2]).all()
 
 
 def test_first_stage_keeps_initial_satisfaction():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubeas import game, harness, link
+from ubeas import channel, game, harness, link
 from ubeas.config import BehaviorClass, ConfigError, GameConfig, watts_to_dbm
 from ubeas.game import (
     RECORD_DTYPE,
@@ -63,6 +63,21 @@ def test_summarize_hand_built_two_stage_trajectory():
     assert abs(summary.mean_power_dbm_before[b] - np.mean(dbms[:2])) < 1e-12
     assert abs(summary.mean_power_dbm_after[b] - np.mean(dbms[2:])) < 1e-12
     assert summary.count_power[b] == 4 and summary.count_pdr[b] == 3
+
+
+def test_summarize_rejects_trajectories_of_different_runs():
+    cfg = dataclasses.replace(SMALL, stages=3)
+    ubeas, npc = run_game(cfg), run_npc_game(cfg)
+    for mixed in ([ubeas, npc], [npc, ubeas]):
+        with pytest.raises(ValueError, match="of one run share"):
+            summarize(mixed)
+    other_x_init = run_game(dataclasses.replace(cfg, x_init=0.002))
+    with pytest.raises(ValueError, match="of one run share"):
+        summarize([ubeas, other_x_init])
+    b = list(BehaviorClass)
+    row = [[(0.001, 0.9, False)] * 3]
+    with pytest.raises(ValueError, match="of one run share"):
+        summarize([make_trajectory([1.0], b, row), make_trajectory([1.0], b[::-1], row)])
 
 
 def test_summarize_identical_trajectories_reproduce_common_values():
@@ -275,9 +290,10 @@ def test_check_epsilon_nash_matches_scalar_oracle(game, perturbation):
     assert max(abs(a - b) for a, b in zip(report.follower_gains, oracle_gains)) <= 1e-12
 
 
-def test_check_epsilon_nash_single_pair():
-    cfg = GameConfig(doppler=0.0, stages=30)   # the one-pair class list overrides num_pairs
-    traj = run_game(cfg, behaviors=[BehaviorClass.CASUAL])
+def test_check_epsilon_nash_three_pairs():
+    # one pair of each class on a frozen channel, settled by stage 30
+    cfg = GameConfig(num_pairs=3, doppler=0.0, stages=30)
+    traj = run_game(cfg)
     report = check_epsilon_nash(traj.records[-1], traj.final_gains, cfg,
                                 epsilon=1e-6, grid_points=4000)
     assert report.passed
@@ -392,8 +408,8 @@ def test_a_failing_row_names_its_repetition_inside_a_block(monkeypatch):
             stretched.add(id(rngs.topology))
         return rngs
 
-    def planted_topology(cfg, rng, behaviors=None):
-        topology = topologies(cfg, rng, behaviors)
+    def planted_topology(cfg, rng):
+        topology = topologies(cfg, rng)
         if id(rng) in stretched:
             topology = dataclasses.replace(topology, distances=topology.distances * 1e200)
         return topology
@@ -436,8 +452,9 @@ def test_outcomes_do_not_depend_on_the_block_size_or_jobs(monkeypatch, game_name
     assert bits(run(2, jobs=2)) == one
 
 
-def test_pool_never_gets_more_workers_than_repetitions(monkeypatch):
-    # an inline stand-in for the process pool, so no worker process starts
+def inline_pool(monkeypatch):
+    """Replace the process pool with an inline stand-in, so no worker process
+    starts; returns the list its max_workers and chunksize go into."""
     seen = []
 
     class InlinePool:
@@ -455,10 +472,27 @@ def test_pool_never_gets_more_workers_than_repetitions(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return seen
+
+
+def test_pool_never_gets_more_workers_than_repetitions(monkeypatch):
+    seen = inline_pool(monkeypatch)
+    monkeypatch.setattr(channel, "_CORES", 8)   # more cores than repetitions
     cfg = dataclasses.replace(SMALL, stages=3, repetitions=3)
     summary, trajectories = run_experiment(cfg, "ubeas", jobs=64)
     assert seen == [3, 1]
     assert len(trajectories) == 3
+
+
+@pytest.mark.parametrize("cores, pools", [(2, [2, 1]), (1, [])])
+def test_pool_never_gets_more_workers_than_usable_cores(monkeypatch, cores, pools):
+    # a forking pool would start all of them at once; one core plays serially
+    seen = inline_pool(monkeypatch)
+    monkeypatch.setattr(channel, "_CORES", cores)
+    cfg = dataclasses.replace(SMALL, stages=3, repetitions=5)
+    _, trajectories = run_experiment(cfg, "ubeas", jobs=4096)
+    assert seen == pools
+    assert len(trajectories) == 5
 
 
 def test_threaded_fading_then_a_forked_pool_in_one_process():
