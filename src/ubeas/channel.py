@@ -9,20 +9,20 @@ envelope from a sum-of-sinusoids generator, d0 the reference distance and
 alpha the path loss exponent.  Power gains are the squared amplitudes, so
 E[G] = A_PL**2 * (d0/d)**alpha over the fading.
 
-The fading state is built and advanced in blocks of link rows.  Every link
-evolves on its own and its oscillator sum is one reduction over its own
-oscillators, so a block computes exactly the bits the whole array would.
-numpy releases the GIL inside its loops, so with more than one block the
-blocks run on a thread pool that lives for one call.  The random draws are
-made block by block too, so the state is never held beside a whole draw.
+The fading is computed in blocks of link rows.  Every link evolves on its
+own and its oscillator sum is one reduction over its own oscillators, so a
+block computes exactly the bits the whole array would.  numpy releases the
+GIL inside its loops, so with more than one block the blocks run on a thread
+pool that lives for one call.  Each block draws its own slice of the random
+stream, so no whole draw is ever held.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +96,24 @@ _BLOCK_OSCILLATORS = 1 << 17
 # Usable cores: the threads a multi-block state runs its blocks on.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
+# A frame is 8 bytes per link, an oscillator and its rotation 32: up to this
+# many frames per oscillator, a horizon's frames take no more memory than
+# the oscillators that make them.
+_FRAMES_PER_OSCILLATOR = 4
+
+
+def fading_frames(cfg: GameConfig) -> int:
+    """Frames of fading one repetition reads: one on a frozen channel (zero
+    Doppler), whose stage-1 gains hold, and one per stage otherwise."""
+    return 1 if cfg.doppler == 0.0 else cfg.stages
+
+
+def fading_bytes(cfg: GameConfig) -> int:
+    """Bytes a repetition's FadingState holds for the whole run: its frame
+    table, or its oscillators and rotations, whichever is smaller."""
+    frames = min(fading_frames(cfg), _FRAMES_PER_OSCILLATOR * cfg.jakes_oscillators)
+    return cfg.num_pairs ** 2 * 8 * frames
+
 
 class FadingState:
     """Sum-of-sinusoids Rayleigh fading, one independent process per link.
@@ -103,46 +121,75 @@ class FadingState:
     Each link superposes n_osc complex oscillators with uniform random Doppler
     angles and phases, advanced by one symbol period per stage.  The envelope
     has unit mean square; consecutive samples are highly correlated for small
-    normalized Doppler (zero Doppler freezes the process).
+    normalized Doppler (zero Doppler freezes the process).  advance returns
+    the amplitudes of the next of the stages frames a caller reads.
 
-    The angles, and then the phases, are drawn block by block in block
-    order, each block taking the next slice of the stream, so the fading
-    stream does not depend on the blocking: chunked uniform draws return the
-    doubles of one whole draw.  Each block's rotations and oscillators are
-    filled from its own draw, and advance steps and sums each block into its
-    rows of the result.  Each element goes through the same operations as on
-    the whole array, so the amplitudes are bit for bit those of an unblocked
-    state, serial or threaded.  Besides the state, the fill holds a block's
-    draw for each block in flight, at most one per thread, plus the one
-    being drawn: never a whole draw.
+    The stream holds all the angles, then all the phases, in link order, as
+    two whole draws would.  Each block draws its own slices of them, from
+    copies of rng advanced to where the slices start, and rng ends where the
+    two whole draws would leave it.  So rng's bit generator must advance by
+    one 64-bit draw per uniform double, as PCG64 (rng_streams') does.
+
+    A short horizon (stages <= 4 * n_osc, whose frames take no more memory
+    than the oscillators) is computed at construction: each block is drawn,
+    stepped through every stage into its rows of a (stages, M, M) frame
+    table, and dropped, and advance hands out the frames in turn as read-only
+    views.  A longer one keeps every block's oscillators and rotations, and
+    each advance steps them and returns a new array.  Each element goes
+    through the same operations as on the whole array, so the amplitudes are
+    bit for bit those of an unblocked state, serial or threaded.  Besides its
+    frames or oscillators, the state holds the temporaries of one block per
+    thread in flight.
     """
 
     def __init__(self, shape: tuple[int, int], n_osc: int, doppler: float,
-                 rng: np.random.Generator) -> None:
-        rows = max(1, _BLOCK_OSCILLATORS // (shape[1] * n_osc))
+                 rng: np.random.Generator, stages: int) -> None:
+        per_row = shape[1] * n_osc
+        rows = max(1, _BLOCK_OSCILLATORS // per_row)
         self._blocks = [slice(r, r + rows) for r in range(0, shape[0], rows)]
         # One thread per usable core, except in a multiprocessing child, whose
         # sibling workers already fill the cores.  Looked up, not imported: a
         # process that never loaded multiprocessing is no child of it.
         mp = sys.modules.get("multiprocessing")
         self._threads = 1 if mp is not None and mp.parent_process() is not None else _CORES
-        self._osc = np.empty(shape + (n_osc,), dtype=complex)
-        self._rot = np.empty(shape + (n_osc,), dtype=complex)
+        self._stages, self._read = stages, 0
         self._norm = 1.0 / math.sqrt(n_osc)
         turn = 2.0 * math.pi * doppler
+        angles = shape[0] * per_row   # the phases follow this many angles
+        whole = stages <= _FRAMES_PER_OSCILLATOR * n_osc
+        if whole:
+            self._frames = np.empty((stages,) + shape)
+            self._osc = self._rot = None
+        else:
+            self._frames = None
+            self._osc = np.empty(shape + (n_osc,), dtype=complex)
+            self._rot = np.empty(shape + (n_osc,), dtype=complex)
+
+        def draw(b: slice, skip: int) -> np.ndarray:
+            bits = copy.deepcopy(rng.bit_generator)
+            bits.advance(skip + b.start * per_row)
+            size = (min(b.stop, shape[0]) - b.start, shape[1], n_osc)
+            return np.random.Generator(bits).uniform(0.0, 2.0 * math.pi, size)
 
         # exp(1j * (turn * cos(angle))) and exp(1j * phase), each step written
-        # over its input or into the state: the same ufuncs on the same
-        # operands, without a temporary.
-        def rotations(b: slice, angles: np.ndarray) -> None:
-            np.multiply(turn, np.cos(angles, out=angles), out=angles)
-            np.exp(np.multiply(1j, angles, out=self._rot[b]), out=self._rot[b])
+        # over its input: the same ufuncs on the same operands as on the whole
+        # array.  Per frame, the results go straight into the state.
+        def fill(b: slice) -> None:
+            turned = draw(b, 0)
+            np.multiply(turn, np.cos(turned, out=turned), out=turned)
+            rot = np.multiply(1j, turned, out=None if whole else self._rot[b])
+            del turned   # the angles go before the phases are drawn
+            np.exp(rot, out=rot)
+            osc = np.multiply(1j, draw(b, angles), out=None if whole else self._osc[b])
+            np.exp(osc, out=osc)
+            if whole:
+                for frame in self._frames:
+                    self._step(osc, rot, frame[b])
 
-        def oscillators(b: slice, phases: np.ndarray) -> None:
-            np.exp(np.multiply(1j, phases, out=self._osc[b]), out=self._osc[b])
-
-        self._fill(rotations, rng)
-        self._fill(oscillators, rng)
+        self._run(fill)
+        rng.bit_generator.advance(2 * angles)
+        if whole:
+            self._frames.flags.writeable = False
 
     def _run(self, block_fn) -> None:
         """Call block_fn on every block, on a short-lived thread pool if there are several."""
@@ -156,41 +203,22 @@ class FadingState:
             for _ in pool.map(block_fn, self._blocks):
                 pass
 
-    def _fill(self, block_fn, rng: np.random.Generator) -> None:
-        """Call block_fn(b, draw) on every block b, draw being the block's slice
-        of the next uniform [0, 2*pi) draw from rng.  The draws are made on
-        this thread in block order; on a thread pool the next block is drawn
-        while at most one block per thread is in flight, so a fill holds at
-        most threads + 1 draws."""
-        def draw(b: slice) -> np.ndarray:
-            return rng.uniform(0.0, 2.0 * math.pi, size=self._osc[b].shape)
-
-        threads = min(self._threads, len(self._blocks))
-        if threads == 1:
-            for b in self._blocks:
-                block_fn(b, draw(b))
-            return
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            in_flight = deque()
-            for b in self._blocks:
-                drawn = draw(b)
-                if len(in_flight) == threads:
-                    in_flight.popleft().result()
-                in_flight.append(pool.submit(block_fn, b, drawn))
-            for future in in_flight:
-                future.result()
+    def _step(self, osc: np.ndarray, rot: np.ndarray, out: np.ndarray) -> None:
+        """Turn the oscillators of some links by one stage and write their amplitudes to out."""
+        osc *= rot
+        np.multiply(np.abs(osc.sum(axis=-1)), self._norm, out=out)
 
     def advance(self) -> np.ndarray:
-        """Step every link by one stage and return the new envelope amplitudes."""
+        """The envelope amplitudes of the next stage: a read-only view of the
+        frame table on a short horizon, a new array otherwise."""
+        if self._read == self._stages:
+            raise RuntimeError(f"fading state built for {self._stages} stages "
+                               f"was advanced past them")
+        self._read += 1
+        if self._frames is not None:
+            return self._frames[self._read - 1]
         amplitudes = np.empty(self._osc.shape[:2])
-
-        def step(b: slice) -> None:
-            osc = self._osc[b]
-            osc *= self._rot[b]
-            np.multiply(np.abs(osc.sum(axis=-1)), self._norm, out=amplitudes[b])
-
-        self._run(step)
+        self._run(lambda b: self._step(self._osc[b], self._rot[b], amplitudes[b]))
         return amplitudes
 
 

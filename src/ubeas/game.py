@@ -53,7 +53,8 @@ from typing import Callable
 import numpy as np
 
 from . import link
-from .channel import CellTopology, FadingState, gain_matrix, generate_topology, path_loss_amplitudes
+from .channel import (CellTopology, FadingState, fading_frames, gain_matrix, generate_topology,
+                      path_loss_amplitudes)
 from .config import CLASS_ORDER, BehaviorClass, GameConfig, behavior_target_pdr, rng_streams
 
 
@@ -266,28 +267,22 @@ def _price_log_yz(p: np.ndarray, cfg: GameConfig, log: Callable) -> tuple[np.nda
     return yz, log(yz)
 
 
-def _gradients(p: np.ndarray, serious: np.ndarray, target: np.ndarray, own_gain: np.ndarray,
-               interference: np.ndarray, log_qx: float | None, cfg: GameConfig) -> np.ndarray:
-    """_gradient_fn's value for 1-D arrays of intermediate and serious pairs
-    (serious marks the serious ones); log_qx is None for the leaderless game.
+def _gradients(p: np.ndarray, own_gain: np.ndarray, interference: np.ndarray,
+               log_qx: float | None, cfg: GameConfig) -> np.ndarray:
+    """_gradient_fn's serious slope for 1-D arrays of serious pairs; log_qx is
+    None for the leaderless game.
 
     The same operations in the same order, with libm's pow and exp, so every
     element has the scalar's bits.
     """
-    gamma = p * own_gain / interference
-    value = np.empty_like(p)
-    mid = ~serious
-    g, pm = gamma[mid], p[mid]
-    value[mid] = -cfg.s + 2.0 * cfg.c * g * (target[mid] - g) / pm
     mod = cfg.modulation_params
-    gamma_b = _libm(pow, gamma[serious], mod.b)
+    gamma_b = _libm(pow, p * own_gain / interference, mod.b)
     exponent = -cfg.v * mod.a * gamma_b
     fade = exponent > 700.0
-    slope = np.full(len(gamma_b), math.inf)
-    ps, gb = p[serious][~fade], gamma_b[~fade]
-    slope[~fade] = (-cfg.w * _libm(pow, ps, cfg.w - 1.0)
+    value = np.full(len(gamma_b), math.inf)
+    ps, gb = p[~fade], gamma_b[~fade]
+    value[~fade] = (-cfg.w * _libm(pow, ps, cfg.w - 1.0)
                     + cfg.h_i * cfg.v * mod.a * mod.b * gb * _libm(math.exp, exponent[~fade]) / ps)
-    value[serious] = slope
     if log_qx is None:
         return value
     yz, log_yz = _price_log_yz(p, cfg, partial(_libm, math.log))
@@ -399,37 +394,40 @@ def _best_responses(classes: np.ndarray, targets: np.ndarray, x: float | None,
     """follower_best_response of every element of 1-D arrays of pairs; classes
     holds CLASS_ORDER indices.
 
-    The gradient at both ends of every solved pair's feasible set is taken at
-    once, which settles most pairs at an end; only the rest run
-    maximize_concave's bisection, one at a time.
+    Only serious pairs solve.  The gradient at both ends of every solved
+    pair's feasible set is taken at once, which settles most pairs at an end;
+    only the rest run maximize_concave's bisection, one at a time.
     """
     log_qx = None if x is None else _log_qx(x, cfg)
     powers, outages = feasible_floor(targets, own_gain, interference, cfg)
     # In outage the feasible set is {p_max}.  The casual performance term
     # (g_bar/g)*p = g_bar*I/g_own does not depend on the own power and the
     # price only rises with it, so the lowest feasible power is the best
-    # response: Yates' standard interference function (IEEE JSAC 1995).
-    solve = np.flatnonzero(~outages & (classes != CLASS_ORDER.index(BehaviorClass.CASUAL))
+    # response: Yates' standard interference function (IEEE JSAC 1995).  On
+    # the feasible set the SINR g is at least g_bar, so the intermediate slope
+    # -s + 2c*g*(g_bar - g)/p is at most -s < 0, and the price only lowers
+    # it: the lowest feasible power again, even where rounding puts the
+    # computed g a step below g_bar.
+    solve = np.flatnonzero(~outages & (classes == CLASS_ORDER.index(BehaviorClass.SERIOUS))
                            & ~(cfg.p_max - powers <= cfg.br_tolerance))
     if not solve.size:
         return powers, outages
     lo = powers[solve]
-    pairs = (classes[solve] == CLASS_ORDER.index(BehaviorClass.SERIOUS), targets[solve],
-             own_gain[solve], interference[solve], log_qx, cfg)
+    pairs = (own_gain[solve], interference[solve], log_qx, cfg)
     g_lo = _gradients(lo, *pairs)
     g_hi = _gradients(np.full(len(lo), cfg.p_max), *pairs)
     falling = (g_lo <= 0.0) & (g_hi <= 0.0)
     rising = ~falling & (g_lo >= 0.0) & (g_hi >= 0.0)
     powers[solve[rising]] = cfg.p_max
     rest = np.flatnonzero(~falling & ~rising)
+    serious = BehaviorClass.SERIOUS
     for i, target, own, interf, p_lo, g_l, g_h in zip(
             solve[rest].tolist(), targets[solve[rest]].tolist(), own_gain[solve[rest]].tolist(),
             interference[solve[rest]].tolist(), lo[rest].tolist(), g_lo[rest].tolist(),
             g_hi[rest].tolist()):
-        behavior = CLASS_ORDER[classes[i]]
         powers[i] = _argmax_from_end_slopes(
-            lambda p: payoff(behavior, x, p, own, interf, target, cfg),
-            _gradient_fn(behavior, target, x, own, interf, cfg, log_qx),
+            lambda p: payoff(serious, x, p, own, interf, target, cfg),
+            _gradient_fn(serious, target, x, own, interf, cfg, log_qx),
             p_lo, cfg.p_max, g_l, g_h, cfg.br_tolerance)
     return powers, outages
 
@@ -609,7 +607,9 @@ def play_repetitions(cfg: GameConfig, repetitions: range, xs: np.ndarray | None)
     rngs = [rng_streams(cfg.seed, rep) for rep in repetitions]
     topologies = [generate_topology(cfg, r.topology) for r in rngs]
     m = cfg.num_pairs
-    fading = [FadingState((m, m), cfg.jakes_oscillators, cfg.doppler, r.fading) for r in rngs]
+    frames = fading_frames(cfg)
+    fading = [FadingState((m, m), cfg.jakes_oscillators, cfg.doppler, r.fading, frames)
+              for r in rngs]
     powers = np.array([r.powers.uniform(cfg.p_min, cfg.p_max, size=m) for r in rngs])
     pairs = topologies[0].behaviors
     targets = [class_target_sinr(b, cfg) for b in pairs]

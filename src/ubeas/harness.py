@@ -35,9 +35,9 @@ from .npc import run_npc_games
 # Each game plays a block of repetitions in lockstep.
 GAMES = {"ubeas": run_games, "npc": run_npc_games}
 
-# Bytes of fading state one block holds: B * M**2 * jakes_oscillators * 32
-# (oscillators and rotations, 16 bytes each).  At M=24 with 16 oscillators a
-# block holds up to 14 repetitions; from M=65 on, one.
+# Bytes of fading one block holds: B * channel.fading_bytes(cfg).  At M=24
+# with 16 oscillators a block holds up to 14 repetitions of 64 stages or more,
+# and 910 on a frozen channel; from M=65 on, one of 64 stages or more.
 _BLOCK_FADING_BYTES = 1 << 22
 
 
@@ -260,13 +260,13 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
     # A forking pool starts every worker at its first submit: one per repetition
     # and per usable core is enough, and the outputs do not depend on jobs.
     jobs = min(jobs, reps, channel._CORES)
-    fading_bytes = cfg.num_pairs * cfg.num_pairs * cfg.jakes_oscillators * 32
+    fading_bytes = channel.fading_bytes(cfg)
     memory = _memory_limit()
     if memory is not None and fading_bytes > memory:
         raise ConfigError(f"one repetition's fading state needs {fading_bytes} bytes "
-                          f"(num_pairs**2 * jakes_oscillators * 32), more than the "
-                          f"{memory} bytes of memory a run may use here (physical "
-                          f"memory, or the control group's limit if smaller)")
+                          f"(num_pairs**2 * 8 * min(frames, 4 * jakes_oscillators)), "
+                          f"more than the {memory} bytes of memory a run may use here "
+                          f"(physical memory, or the control group's limit if smaller)")
     size = min(max(1, _BLOCK_FADING_BYTES // fading_bytes), -(-reps // jobs))
     tasks = [(cfg, game, range(start, min(start + size, reps))) for start in range(0, reps, size)]
     if jobs > 1:

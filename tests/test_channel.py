@@ -84,7 +84,7 @@ def test_topology_uniform_disc_statistics():
 
 def test_fading_frozen_at_zero_doppler():
     rng = rng_streams(5, 0).fading
-    fading = FadingState((4, 4), 16, 0.0, rng)
+    fading = FadingState((4, 4), 16, 0.0, rng, 6)
     first = fading.advance()
     for _ in range(5):
         assert np.allclose(fading.advance(), first, rtol=0, atol=1e-12)
@@ -92,7 +92,7 @@ def test_fading_frozen_at_zero_doppler():
 
 def test_fading_unit_mean_square():
     rng = rng_streams(11, 0).fading
-    fading = FadingState((100, 100), 16, 0.01, rng)
+    fading = FadingState((100, 100), 16, 0.01, rng, 10)
     samples = np.concatenate([fading.advance().ravel() for _ in range(10)])
     assert samples.size == 100_000
     assert abs(np.mean(samples ** 2) - 1.0) < 0.02
@@ -100,8 +100,13 @@ def test_fading_unit_mean_square():
 
 def test_fading_slow_envelope_correlation():
     rng = rng_streams(12, 0).fading
-    fading = FadingState((60, 60), 16, 0.01, rng)
-    frames = np.stack([fading.advance() for _ in range(100)])
+    fading = FadingState((60, 60), 16, 0.01, rng, 100)
+    frames = [fading.advance() for _ in range(100)]
+    # 100 > 4 * 16: per frame, and each advance returns its own array, which
+    # the next does not overwrite
+    assert fading._frames is None
+    assert len({f.tobytes() for f in frames}) == 100
+    frames = np.stack(frames)
     a = frames[:-1].ravel()
     b = frames[1:].ravel()
     corr = np.corrcoef(a, b)[0, 1]
@@ -110,8 +115,8 @@ def test_fading_slow_envelope_correlation():
 
 
 def test_fading_reproducible_for_fixed_seed():
-    f1 = FadingState((3, 3), 16, 0.01, rng_streams(9, 1).fading)
-    f2 = FadingState((3, 3), 16, 0.01, rng_streams(9, 1).fading)
+    f1 = FadingState((3, 3), 16, 0.01, rng_streams(9, 1).fading, 4)
+    f2 = FadingState((3, 3), 16, 0.01, rng_streams(9, 1).fading, 4)
     for _ in range(4):
         assert np.array_equal(f1.advance(), f2.advance())
 
@@ -144,7 +149,7 @@ def test_gain_matrix_elementwise_oracle():
     cfg = small_cfg()
     streams = rng_streams(77, 0)
     topo = generate_topology(cfg, streams.topology)
-    fading = FadingState((cfg.num_pairs, cfg.num_pairs), 16, 0.01, streams.fading)
+    fading = FadingState((cfg.num_pairs, cfg.num_pairs), 16, 0.01, streams.fading, 1)
     amps = fading.advance()
     gains = gain_matrix(path_loss_amplitudes(topo, cfg), amps)
     for j in range(cfg.num_pairs):
@@ -177,15 +182,16 @@ class CountingThreadPool(concurrent.futures.ThreadPoolExecutor):
         super().__init__(*args, **kwargs)
 
 
-def blocked_amplitudes(monkeypatch, threads, shape, n_osc, doppler, advances):
+def blocked_amplitudes(monkeypatch, threads, shape, n_osc, doppler, stages, advances, rng):
     """Amplitudes of a FadingState in 3-row blocks run on as many threads as cores;
     also the number of thread pools it started."""
     monkeypatch.setattr(channel, "_BLOCK_OSCILLATORS", 3 * shape[1] * n_osc)
     monkeypatch.setattr(channel, "_CORES", threads)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingThreadPool)
     CountingThreadPool.started = 0
-    fading = FadingState(shape, n_osc, doppler, rng_streams(21, 2).fading)
+    fading = FadingState(shape, n_osc, doppler, rng, stages)
     assert [(b.start, b.stop) for b in fading._blocks] == [(0, 3), (3, 6), (6, 9), (9, 12)]
+    assert (fading._frames is not None) == (stages <= 4 * n_osc)
     frames = [fading.advance() for _ in range(advances)]
     return frames, CountingThreadPool.started
 
@@ -193,48 +199,78 @@ def blocked_amplitudes(monkeypatch, threads, shape, n_osc, doppler, advances):
 @pytest.mark.parametrize("n_osc", [16, 5])
 @pytest.mark.parametrize("doppler", [0.01, 0.0])
 def test_blocked_fading_equals_the_whole_array_bit_for_bit(monkeypatch, doppler, n_osc):
-    # 11 rows in blocks of 3: four blocks, the last one of 2 rows
+    # 11 rows in blocks of 3: four blocks, the last one of 2 rows.  The
+    # horizons lie on both sides of the frame table's rule, stages <= 4 * n_osc.
     shape = (11, 7)
-    reference = whole_array_amplitudes(shape, n_osc, doppler, rng_streams(21, 2).fading, 6)
-    for threads in (1, 3):
-        frames, _ = blocked_amplitudes(monkeypatch, threads, shape, n_osc, doppler, 6)
-        for got, want in zip(frames, reference, strict=True):
-            assert got.shape == shape
-            assert got.tobytes() == want.tobytes()
+    for stages in (6, 4 * n_osc, 4 * n_osc + 1):
+        want_rng = rng_streams(21, 2).fading
+        reference = whole_array_amplitudes(shape, n_osc, doppler, want_rng, stages)
+        next_double = want_rng.random()
+        for threads in (1, 3):
+            rng = rng_streams(21, 2).fading
+            frames, _ = blocked_amplitudes(monkeypatch, threads, shape, n_osc, doppler, stages,
+                                           stages, rng)
+            for got, want in zip(frames, reference, strict=True):
+                assert got.shape == shape
+                assert got.tobytes() == want.tobytes()
+            # rng ends where the two whole draws leave it
+            assert rng.random() == next_double
+
+
+@pytest.mark.parametrize("stages", [5, 65])
+def test_advance_past_the_horizon_raises(stages):
+    fading = FadingState((4, 4), 16, 0.01, rng_streams(8, 0).fading, stages)
+    for _ in range(stages):
+        fading.advance()
+    with pytest.raises(RuntimeError, match=f"built for {stages} stages"):
+        fading.advance()
+
+
+def test_whole_horizon_frames_are_read_only_views_of_one_table():
+    fading = FadingState((4, 4), 16, 0.01, rng_streams(8, 0).fading, 3)
+    frames = [fading.advance() for _ in range(3)]
+    assert all(f.base is fading._frames for f in frames)
+    assert not any(f.flags.writeable for f in frames)
 
 
 @pytest.mark.parametrize("doppler", [0.01, 0.0])
 def test_threaded_blocks_equal_serial_blocks_and_leave_no_thread(monkeypatch, doppler):
     shape = (11, 7)
-    serial, serial_pools = blocked_amplitudes(monkeypatch, 1, shape, 16, doppler, 5)
-    # three threads, switching as often as the interpreter allows
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded, threaded_pools = blocked_amplitudes(monkeypatch, 3, shape, 16, doppler, 5)
-    finally:
-        sys.setswitchinterval(interval)
-    assert serial_pools == 0
-    assert threaded_pools == 2 + 5   # two fills in __init__, one per advance
-    assert [f.tobytes() for f in threaded] == [f.tobytes() for f in serial]
-    # every pool has joined its threads by the time the call returns
-    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor-")]
+    # A whole horizon is stepped in its one pass at construction, so advance
+    # starts no pool; per frame, each of the 5 advances starts one.
+    for stages, pools in ((5, 1), (65, 1 + 5)):
+        serial, serial_pools = blocked_amplitudes(monkeypatch, 1, shape, 16, doppler, stages, 5,
+                                                  rng_streams(21, 2).fading)
+        # three threads, switching as often as the interpreter allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded, threaded_pools = blocked_amplitudes(monkeypatch, 3, shape, 16, doppler,
+                                                          stages, 5, rng_streams(21, 2).fading)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial_pools == 0
+        assert threaded_pools == pools, stages
+        assert [f.tobytes() for f in threaded] == [f.tobytes() for f in serial]
+        # every pool has joined its threads by the time the call returns
+        assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor-")]
 
 
 def test_one_block_starts_no_thread_pool(monkeypatch):
     monkeypatch.setattr(channel, "_CORES", 4)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingThreadPool)
     CountingThreadPool.started = 0
-    fading = FadingState((24, 24), 16, 0.01, rng_streams(3, 0).fading)
-    fading.advance()
-    assert len(fading._blocks) == 1
+    for stages in (3, 100):
+        fading = FadingState((24, 24), 16, 0.01, rng_streams(3, 0).fading, stages)
+        fading.advance()
+        assert len(fading._blocks) == 1
     assert CountingThreadPool.started == 0
 
 
 @pytest.mark.parametrize("method", ["fork", "spawn"])
 def test_a_pool_worker_runs_its_blocks_serially(method):
     # The workers fill the cores; the parent has one thread per core, before and after a pool.
-    args = ((3, 3), 2, 0.0, rng_streams(5, 0).fading)
+    args = ((3, 3), 2, 0.0, rng_streams(5, 0).fading, 1)
     assert channel._CORES == len(os.sched_getaffinity(0))
     assert FadingState(*args)._threads == channel._CORES
     context = multiprocessing.get_context(method)
@@ -243,32 +279,54 @@ def test_a_pool_worker_runs_its_blocks_serially(method):
     assert FadingState(*args)._threads == channel._CORES
 
 
+def test_fading_bytes_is_the_smaller_of_the_frames_and_the_oscillators():
+    cfg = GameConfig(num_pairs=384, stages=14, repetitions=1)
+    assert channel.fading_bytes(cfg) == 384 ** 2 * 8 * 14
+    assert channel.fading_bytes(dataclasses.replace(cfg, stages=100)) == 384 ** 2 * 16 * 32
+    # a frozen channel reads one frame, however long the horizon
+    frozen = dataclasses.replace(cfg, stages=600, doppler=0.0)
+    assert channel.fading_frames(frozen) == 1
+    assert channel.fading_bytes(frozen) == 384 ** 2 * 8
+
+
+def traced_init(shape, n_osc, stages, rng):
+    tracemalloc.start()
+    try:
+        fading = FadingState(shape, n_osc, 0.01, rng, stages)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return fading, peak
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_fading_init_holds_the_state_and_its_blocks_in_flight_never_a_whole_draw(monkeypatch,
                                                                                    threads):
     shape, n_osc = (192, 192), 16
+    links, oscillators = shape[0] * shape[1], shape[0] * shape[1] * n_osc
     monkeypatch.setattr(channel, "_CORES", threads)
-    rng = rng_streams(31, 4).fading
-    tracemalloc.start()
-    try:
-        fading = FadingState(shape, n_osc, 0.01, rng)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    oscillators = shape[0] * shape[1] * n_osc
-    state = 32 * oscillators
-    whole_draw = 8 * oscillators
-    block_draw = 8 * fading._rot[fading._blocks[0]].size
-    assert len(fading._blocks) == 5 and fading._threads == threads
-    # Serially one block is drawn at a time; threaded, one per thread is in
-    # flight and the next is being drawn.  Each thread may also hold numpy's
-    # casting buffer of complex elements, and the interpreter a few objects.
-    in_flight = block_draw * (1 if threads == 1 else threads + 1)
+    # Each thread may hold numpy's casting buffer of complex elements, and the
+    # interpreter a few objects.
     slack = threads * np.getbufsize() * 16 + (64 << 10)
-    assert peak < state + in_flight + slack
-    assert peak < state + whole_draw
-    # Both draws took the stream's first 2 * oscillators doubles, as whole draws would.
+
+    # A whole horizon: the frame table, plus per thread one block in flight
+    # with its rotations and oscillators (16 bytes each per oscillator) and
+    # the 8-byte draw it is making one of them from.
+    rng = rng_streams(31, 4).fading
+    fading, peak = traced_init(shape, n_osc, 14, rng)
+    assert fading._frames is not None and fading._osc is None
+    assert len(fading._blocks) == 5 and fading._threads == threads
+    block = fading._blocks[0].stop * shape[1] * n_osc
+    assert peak < 8 * 14 * links + threads * 40 * block + slack
+    assert peak < 32 * oscillators
+    # The draws took the stream's first 2 * oscillators doubles, as whole draws would.
     reference = rng_streams(31, 4).fading
     reference.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
     reference.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
     assert rng.random() == reference.random()
+
+    # Per frame: the oscillators and rotations, plus one block's draw per thread.
+    fading, peak = traced_init(shape, n_osc, 65, rng_streams(31, 4).fading)
+    assert fading._frames is None
+    assert peak < 32 * oscillators + threads * 8 * block + slack
+    assert peak < 32 * oscillators + 8 * oscillators

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ubeas
-from ubeas import cli, harness
+from ubeas import channel, cli, harness
 from ubeas.cli import main
 from ubeas.config import ConfigError, GameConfig, load_config
 from ubeas.link import MODULATIONS
@@ -62,7 +62,7 @@ def test_run_reports_a_repetition_out_of_memory_as_a_config_error(tmp_path, caps
 def test_run_rejects_a_fading_state_larger_than_its_memory_limit(tmp_path, capsys, monkeypatch):
     started = []
     monkeypatch.setitem(harness.GAMES, "ubeas", lambda cfg, reps: started.append(reps))
-    fading_bytes = 6 * 6 * 16 * 32   # num_pairs**2 * jakes_oscillators * 32
+    fading_bytes = channel.fading_bytes(GameConfig(num_pairs=6, stages=15))   # the config below
     monkeypatch.setattr(harness, "_memory_limit", lambda: fading_bytes - 1)
     cfg = tmp_path / "cell.cfg"
     write_small_config(cfg)

@@ -16,6 +16,7 @@ from ubeas.game import (
     _log_qx,
     _payoff_on_grid,
     class_target_sinr,
+    feasible_floor,
     follower_best_response,
     follower_utility,
     follower_utility_gradient,
@@ -321,24 +322,24 @@ def test_gradient_fn_equals_unfolded_gradient_bit_for_bit(behavior, x, priority,
     priority=st.booleans(),
     modulation=st.sampled_from(sorted(MODULATIONS)),
     constants=CONSTANTS,
-    # test_gradient_fn_equals_unfolded_gradient_bit_for_bit's grid, several pairs at once
-    points=st.lists(st.tuples(SOLVED_CLASSES, st.floats(CFG.p_min, CFG.p_max),
-                              st.floats(1e-3, 1e3), st.floats(1e-14, 1e-9)),
+    # test_gradient_fn_equals_unfolded_gradient_bit_for_bit's grid, several
+    # serious pairs at once: only they solve
+    points=st.lists(st.tuples(st.floats(CFG.p_min, CFG.p_max), st.floats(1e-3, 1e3),
+                              st.floats(1e-14, 1e-9)),
                     min_size=1, max_size=6),
 )
 def test_array_gradients_equal_gradient_fn_bit_for_bit(x, priority, modulation, constants,
                                                         points):
     cfg = solver_cfg(priority, modulation, constants)
-    behaviors = [b for b, _, _, _ in points]
-    p = np.array([p for _, p, _, _ in points])
-    interference = np.array([i for _, _, _, i in points])
-    own = np.array([g for _, _, g, _ in points]) * interference / p
-    targets = np.array([class_target_sinr(b, cfg) for b in behaviors])
-    serious = np.array([b is BehaviorClass.SERIOUS for b in behaviors])
+    behavior = BehaviorClass.SERIOUS
+    target = class_target_sinr(behavior, cfg)
+    p = np.array([p for p, _, _ in points])
+    interference = np.array([i for _, _, i in points])
+    own = np.array([g for _, g, _ in points]) * interference / p
     log_qx = None if x is None else _log_qx(x, cfg)
-    got = _gradients(p, serious, targets, own, interference, log_qx, cfg)
-    for k, behavior in enumerate(behaviors):
-        args = (targets[k].item(), x, own[k].item(), interference[k].item(), cfg, log_qx)
+    got = _gradients(p, own, interference, log_qx, cfg)
+    for k in range(len(points)):
+        args = (target, x, own[k].item(), interference[k].item(), cfg, log_qx)
         assert got[k].item().hex() == _gradient_fn(behavior, *args)(p[k].item()).hex()
 
 
@@ -353,8 +354,8 @@ def test_gradient_fn_keeps_the_deep_fade_and_price_domain_guards():
         assert expected == math.inf
         assert _gradient_fn(behavior, target, x, own, interference, CFG, log_qx)(CFG.p_min) \
             == expected
-        assert _gradients(np.array([CFG.p_min]), np.array([True]), np.array([target]),
-                          np.array([own]), np.array([interference]), log_qx, CFG)[0] == expected
+        assert _gradients(np.array([CFG.p_min]), np.array([own]), np.array([interference]),
+                          log_qx, CFG)[0] == expected
     # p / z too close to y: the power-side logarithm would flip sign
     for behavior in CLASSES:
         with pytest.raises(ValueError):
@@ -363,10 +364,9 @@ def test_gradient_fn_keeps_the_deep_fade_and_price_domain_guards():
             _gradient_fn(behavior, target, 0.5, 1e-9, 1e-12, CFG, _log_qx(0.5, CFG))(0.7)
         with pytest.raises(ValueError):
             _gradient_fn(behavior, target, 1.5, 1e-9, 1e-12, CFG, _log_qx(1.5, CFG))(0.1)
-        with pytest.raises(ValueError):
-            _gradients(np.array([0.1, 0.7]), np.array([behavior is BehaviorClass.SERIOUS] * 2),
-                       np.array([target] * 2), np.array([1e-9] * 2), np.array([1e-12] * 2),
-                       _log_qx(0.5, CFG), CFG)
+    with pytest.raises(ValueError):
+        _gradients(np.array([0.1, 0.7]), np.array([1e-9] * 2), np.array([1e-12] * 2),
+                   _log_qx(0.5, CFG), CFG)
 
 
 @settings(max_examples=300, deadline=None)
@@ -494,6 +494,61 @@ def test_casual_closed_form_equals_generic_solver(own_gain, p_req_wanted, x, pri
                          None if x is None else _log_qx(x, cfg)),
             max(cfg.p_min, p_req), cfg.p_max, cfg.br_tolerance), False)
     assert follower_best_response(behavior, x, own_gain, interf, cfg) == expected
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=SATISFACTIONS,
+    priority=st.booleans(),
+    # s down to where a rounding step of the SINR at the floor can tilt the slope
+    s=log_uniform(-13, 1),
+    c=log_uniform(-3, 3),
+    own_gain=log_uniform(-12, -3),
+    # required powers below p_min, inside [p_min, p_max] and above p_max (outage)
+    p_req_wanted=log_uniform(-5, 0),
+)
+def test_intermediate_best_response_is_its_floor(x, priority, s, c, own_gain, p_req_wanted):
+    cfg = dataclasses.replace(CFG, priority_mode=priority, s=s, c=c)
+    behavior = BehaviorClass.INTERMEDIATE
+    target = class_target_sinr(behavior, cfg)
+    interf = p_req_wanted * own_gain / target
+    floor, outage = feasible_floor(target, own_gain, interf, cfg)
+    power = follower_best_response(behavior, x, own_gain, interf, cfg)
+    assert power == (float(floor), bool(outage))
+    if outage:
+        return
+    solved = maximize_concave(
+        lambda p: payoff(behavior, x, p, own_gain, interf, target, cfg),
+        lambda p: unfolded_payoff_gradient(behavior, x, p, own_gain, interf, target, cfg),
+        float(floor), cfg.p_max, cfg.br_tolerance)
+    # On the feasible set the exact slope is below -s.  The bisection can only
+    # leave the floor where the SINR computed there rounds below its target,
+    # and then by less than br_tolerance.
+    assert floor <= solved <= floor + cfg.br_tolerance
+
+
+def test_intermediate_floor_holds_where_the_sinr_rounds_below_its_target():
+    # A planted case: with a tiny s and a large c * own / interference, the
+    # slope computed at the floor reads positive, so a bisection from there
+    # ends above it.  The exact best response is the floor.
+    cfg = dataclasses.replace(CFG, s=1e-12, c=100.0)
+    behavior = BehaviorClass.INTERMEDIATE
+    target = class_target_sinr(behavior, cfg)
+    own, interf = 1e-7, 1.4643931795386159e-09
+    p_req = required_power(target, own, interf)
+    assert cfg.p_min < p_req < cfg.p_max
+    assert p_req * own / interf < target
+    assert follower_utility_gradient(behavior, None, p_req, own, interf, cfg) > 0.0
+    solved = maximize_concave(
+        lambda p: payoff(behavior, None, p, own, interf, target, cfg),
+        lambda p: follower_utility_gradient(behavior, None, p, own, interf, cfg),
+        p_req, cfg.p_max, cfg.br_tolerance)
+    assert p_req < solved < p_req + cfg.br_tolerance
+    assert follower_best_response(behavior, None, own, interf, cfg) == (p_req, False)
 
 
 def test_best_response_outage_clamps_to_p_max():
@@ -696,17 +751,20 @@ def count_calls(monkeypatch, owner=game, name="measure_followers") -> list:
 
 def count_solves(monkeypatch) -> list:
     """Per call of the engine's best responses, the pairs it solves: those
-    neither casual nor in outage."""
+    whose end slopes it takes."""
     solves = []
-    best_responses = game._best_responses
+    best_responses, gradients = game._best_responses, game._gradients
 
-    def counted(classes, *args):
-        powers, outages = best_responses(classes, *args)
-        solves.append(np.count_nonzero((classes != CLASS_ORDER.index(BehaviorClass.CASUAL))
-                                       & ~outages))
-        return powers, outages
+    def counted(*args):
+        solves.append(0)
+        return best_responses(*args)
+
+    def sloped(p, *args):
+        solves[-1] = len(p)   # once at the lower ends, once at p_max
+        return gradients(p, *args)
 
     monkeypatch.setattr(game, "_best_responses", counted)
+    monkeypatch.setattr(game, "_gradients", sloped)
     return solves
 
 
@@ -834,11 +892,11 @@ def test_memo_hit_returns_a_copy_of_the_stored_row(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_fading_channel_solves_every_uncapped_non_casual_pair(monkeypatch, name):
+def test_fading_channel_solves_every_uncapped_serious_pair(monkeypatch, name):
     cfg = GameConfig(num_pairs=12, stages=60)
     assert cfg.doppler > 0.0
     solves = count_solves(monkeypatch)
     traj = RUNS[name](cfg)
-    solved = np.array([b is not BehaviorClass.CASUAL for b in traj.behaviors])
+    solved = np.array([b is BehaviorClass.SERIOUS for b in traj.behaviors])
     assert len(solves) == cfg.stages
     assert sum(solves) == np.count_nonzero(solved & ~traj.outcomes.outage)

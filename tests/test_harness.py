@@ -434,12 +434,24 @@ BLOCK_CASES = [("ubeas", {}), ("ubeas", {"doppler": 0.0}), ("npc", {}), ("npc", 
                               "npc-iterated-fading", "npc-iterated-frozen"])
 def test_outcomes_do_not_depend_on_the_block_size_or_jobs(monkeypatch, game_name, fields):
     cfg = dataclasses.replace(SMALL, stages=40, repetitions=5, **fields)
-    fading_bytes = cfg.num_pairs ** 2 * cfg.jakes_oscillators * 32
+    play = harness._run_block
 
     def run(block, jobs=1):
+        played = []
+
+        def counted(task):
+            played.append(len(task[2]))
+            return play(task)
+
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "_BLOCK_FADING_BYTES", block * fading_bytes)
-            return run_experiment(cfg, game_name, jobs=jobs)[1]
+            patch.setattr(harness, "_BLOCK_FADING_BYTES", block * channel.fading_bytes(cfg))
+            if jobs == 1:   # a pool worker plays the module's own _run_block
+                patch.setattr(harness, "_run_block", counted)
+            trajectories = run_experiment(cfg, game_name, jobs=jobs)[1]
+        if jobs == 1:
+            reps = cfg.repetitions
+            assert played == [min(block, reps - start) for start in range(0, reps, block)]
+        return trajectories
 
     def bits(trajectories):
         return [(t.outcomes.tobytes(), None if t.x is None else t.x.tobytes(),
