@@ -78,19 +78,35 @@ def generate_topology(cfg: GameConfig, rng: np.random.Generator) -> CellTopology
                           f"too crowded for min_link_distance = {cfg.min_link_distance} m")
 
     rx = np.vstack([draw_rx(i) for i in range(m)])
-    diff = tx[:, None, :] - rx[None, :, :]
-    distances = np.linalg.norm(diff, axis=2)
+    # sqrt(dx * dx + dy * dy) in place, over two (M, M) arrays: the bits of
+    # np.linalg.norm over the (M, M, 2) differences, without them.
+    dx = tx[:, None, 0] - rx[None, :, 0]
+    dy = tx[:, None, 1] - rx[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    distances = np.sqrt(dx, out=dx)
     return CellTopology(bs, cellular, tx, rx, tuple(assign_behavior_classes(m)), distances)
 
 
 def path_loss_amplitudes(topology: CellTopology, cfg: GameConfig) -> np.ndarray:
     """Matrix of deterministic amplitude gains for every tx -> rx link."""
     ratio = cfg.reference_distance / topology.distances
-    return cfg.path_loss_attenuation * ratio ** (cfg.path_loss_exponent / 2.0)
+    # In place: the bits of att * ratio ** e, in one (M, M) array.  The
+    # in-place power takes the same scalar fast paths (e = 1, 2) as **.
+    ratio **= cfg.path_loss_exponent / 2.0
+    ratio *= cfg.path_loss_attenuation
+    return ratio
 
 
-# Oscillators per block: a few MiB of temporaries per block.  At M=384 with
-# 16 oscillators that is 21 rows (19 blocks); at M=24 it is one block.
+# Oscillators per block, 40 bytes each in flight (an 8-byte draw, a 16-byte
+# rotation and a 16-byte oscillator).  A whole horizon steps each block
+# through every stage while it sits in a core's L2 cache: 2^15 oscillators,
+# about 1.2 MiB, so 5 rows (77 blocks) at M=384 with 16 oscillators.  Per
+# frame, every advance dispatches every block again, so fewer, larger blocks
+# are faster: 2^17, about 5 MiB, 21 rows (19 blocks).  At M=24 either is one
+# block.
+_WHOLE_BLOCK_OSCILLATORS = 1 << 15
 _BLOCK_OSCILLATORS = 1 << 17
 
 # Usable cores: the threads a multi-block state runs its blocks on.
@@ -145,7 +161,8 @@ class FadingState:
     def __init__(self, shape: tuple[int, int], n_osc: int, doppler: float,
                  rng: np.random.Generator, stages: int) -> None:
         per_row = shape[1] * n_osc
-        rows = max(1, _BLOCK_OSCILLATORS // per_row)
+        whole = stages <= _FRAMES_PER_OSCILLATOR * n_osc
+        rows = max(1, (_WHOLE_BLOCK_OSCILLATORS if whole else _BLOCK_OSCILLATORS) // per_row)
         self._blocks = [slice(r, r + rows) for r in range(0, shape[0], rows)]
         # One thread per usable core, except in a multiprocessing child, whose
         # sibling workers already fill the cores.  Looked up, not imported: a
@@ -156,7 +173,6 @@ class FadingState:
         self._norm = 1.0 / math.sqrt(n_osc)
         turn = 2.0 * math.pi * doppler
         angles = shape[0] * per_row   # the phases follow this many angles
-        whole = stages <= _FRAMES_PER_OSCILLATOR * n_osc
         if whole:
             self._frames = np.empty((stages,) + shape)
             self._osc = self._rot = None

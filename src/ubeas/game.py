@@ -606,6 +606,9 @@ def play_repetitions(cfg: GameConfig, repetitions: range, xs: np.ndarray | None)
     """
     rngs = [rng_streams(cfg.seed, rep) for rep in repetitions]
     topologies = [generate_topology(cfg, r.topology) for r in rngs]
+    # Before the fading: its frame tables need not share the peak with the
+    # path loss's temporaries.
+    pl_amps = [path_loss_amplitudes(topology, cfg) for topology in topologies]
     m = cfg.num_pairs
     frames = fading_frames(cfg)
     fading = [FadingState((m, m), cfg.jakes_oscillators, cfg.doppler, r.fading, frames)
@@ -613,7 +616,6 @@ def play_repetitions(cfg: GameConfig, repetitions: range, xs: np.ndarray | None)
     powers = np.array([r.powers.uniform(cfg.p_min, cfg.p_max, size=m) for r in rngs])
     pairs = topologies[0].behaviors
     targets = [class_target_sinr(b, cfg) for b in pairs]
-    pl_amps = [path_loss_amplitudes(topology, cfg) for topology in topologies]
 
     table = np.zeros((len(rngs), cfg.stages, m), RECORD_DTYPE)
     gains = np.empty((len(rngs), m, m))

@@ -21,6 +21,7 @@ from . import channel, link
 from .channel import CellTopology
 from .config import BehaviorClass, CLASS_ORDER, ConfigError, GameConfig
 from .game import (
+    RECORD_DTYPE,
     StageRecord,
     Trajectory,
     _payoff_on_grid,
@@ -35,10 +36,12 @@ from .npc import run_npc_games
 # Each game plays a block of repetitions in lockstep.
 GAMES = {"ubeas": run_games, "npc": run_npc_games}
 
-# Bytes of fading one block holds: B * channel.fading_bytes(cfg).  At M=24
-# with 16 oscillators a block holds up to 14 repetitions of 64 stages or more,
-# and 910 on a frozen channel; from M=65 on, one of 64 stages or more.
-_BLOCK_FADING_BYTES = 1 << 22
+# Bytes one block holds: B * channel.fading_bytes(cfg) of fading and, with
+# jobs > 1, whose workers pickle their blocks whole, B * T * M records.  At
+# M=24 with 16 oscillators a block holds up to 14 repetitions of 64 stages or
+# more, and 910 on a frozen channel at jobs=1, 6 of its 600 stages at jobs > 1;
+# from M=65 on, one of 64 stages or more.
+_BLOCK_BYTES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +270,10 @@ def run_experiment(cfg: GameConfig, game: str = "ubeas",
                           f"(num_pairs**2 * 8 * min(frames, 4 * jakes_oscillators)), "
                           f"more than the {memory} bytes of memory a run may use here "
                           f"(physical memory, or the control group's limit if smaller)")
-    size = min(max(1, _BLOCK_FADING_BYTES // fading_bytes), -(-reps // jobs))
+    # At jobs=1 the records stay in this process whatever the blocks, and
+    # larger blocks play faster.
+    records = cfg.stages * cfg.num_pairs * RECORD_DTYPE.itemsize if jobs > 1 else 0
+    size = min(max(1, _BLOCK_BYTES // (fading_bytes + records)), -(-reps // jobs))
     tasks = [(cfg, game, range(start, min(start + size, reps))) for start in range(0, reps, size)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -48,6 +48,18 @@ def test_path_loss_monotone():
     assert np.all(gains[:-1] > gains[1:])
 
 
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 3.5, 4.0])
+def test_in_place_path_loss_is_the_bits_of_the_expression(alpha):
+    # ** has scalar fast paths for the exponents 1 and 2 (alpha 2 and 4)
+    cfg = dataclasses.replace(GameConfig(num_pairs=24), path_loss_exponent=alpha)
+    topo = generate_topology(cfg, rng_streams(5, 0).topology)
+    distances = topo.distances.copy()
+    got = path_loss_amplitudes(topo, cfg)
+    want = cfg.path_loss_attenuation * (cfg.reference_distance / distances) ** (alpha / 2.0)
+    assert got.tobytes() == want.tobytes()
+    assert topo.distances.tobytes() == distances.tobytes()
+
+
 def test_topology_respects_geometry_bounds():
     cfg = small_cfg()
     topo = generate_topology(cfg, rng_streams(cfg.seed, 0).topology)
@@ -66,6 +78,27 @@ def test_topology_deterministic_for_fixed_seed():
     assert np.array_equal(t1.tx_positions, t2.tx_positions)
     assert np.array_equal(t1.rx_positions, t2.rx_positions)
     assert np.array_equal(t1.distances, t2.distances)
+
+
+@pytest.mark.parametrize("m", [6, 384])
+def test_topology_distances_are_the_bits_of_the_norm(m):
+    topo = generate_topology(small_cfg(num_pairs=m), rng_streams(9, 0).topology)
+    want = np.linalg.norm(topo.tx_positions[:, None] - topo.rx_positions[None], axis=2)
+    assert topo.distances.tobytes() == want.tobytes()
+
+
+def test_topology_takes_distances_without_an_m_by_m_by_2_temporary():
+    # The (M, M) distances and at most one (M, M) temporary beside them; any
+    # (M, M, 2) array of differences would reach three.
+    m = 384
+    cfg = small_cfg(num_pairs=m)
+    tracemalloc.start()
+    try:
+        generate_topology(cfg, rng_streams(9, 0).topology)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * m * m
 
 
 def test_topology_uniform_disc_statistics():
@@ -183,8 +216,9 @@ class CountingThreadPool(concurrent.futures.ThreadPoolExecutor):
 
 
 def blocked_amplitudes(monkeypatch, threads, shape, n_osc, doppler, stages, advances, rng):
-    """Amplitudes of a FadingState in 3-row blocks run on as many threads as cores;
-    also the number of thread pools it started."""
+    """Amplitudes of a FadingState in 3-row blocks, whole horizon or per frame, run
+    on as many threads as cores; also the number of thread pools it started."""
+    monkeypatch.setattr(channel, "_WHOLE_BLOCK_OSCILLATORS", 3 * shape[1] * n_osc)
     monkeypatch.setattr(channel, "_BLOCK_OSCILLATORS", 3 * shape[1] * n_osc)
     monkeypatch.setattr(channel, "_CORES", threads)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingThreadPool)
@@ -311,12 +345,15 @@ def test_fading_init_holds_the_state_and_its_blocks_in_flight_never_a_whole_draw
 
     # A whole horizon: the frame table, plus per thread one block in flight
     # with its rotations and oscillators (16 bytes each per oscillator) and
-    # the 8-byte draw it is making one of them from.
+    # the 8-byte draw it is making one of them from.  Its blocks are of 2^15
+    # oscillators, 10 of these rows.
     rng = rng_streams(31, 4).fading
     fading, peak = traced_init(shape, n_osc, 14, rng)
     assert fading._frames is not None and fading._osc is None
-    assert len(fading._blocks) == 5 and fading._threads == threads
+    assert fading._blocks[0] == slice(0, 10) and len(fading._blocks) == 20
+    assert fading._threads == threads
     block = fading._blocks[0].stop * shape[1] * n_osc
+    assert block <= channel._WHOLE_BLOCK_OSCILLATORS == 1 << 15
     assert peak < 8 * 14 * links + threads * 40 * block + slack
     assert peak < 32 * oscillators
     # The draws took the stream's first 2 * oscillators doubles, as whole draws would.
@@ -325,8 +362,12 @@ def test_fading_init_holds_the_state_and_its_blocks_in_flight_never_a_whole_draw
     reference.uniform(0.0, 2.0 * math.pi, size=shape + (n_osc,))
     assert rng.random() == reference.random()
 
-    # Per frame: the oscillators and rotations, plus one block's draw per thread.
+    # Per frame: the oscillators and rotations, plus one block's draw per
+    # thread.  Its blocks are of 2^17 oscillators, 42 of these rows.
     fading, peak = traced_init(shape, n_osc, 65, rng_streams(31, 4).fading)
     assert fading._frames is None
+    assert fading._blocks[0] == slice(0, 42) and len(fading._blocks) == 5
+    block = fading._blocks[0].stop * shape[1] * n_osc
+    assert block <= channel._BLOCK_OSCILLATORS == 1 << 17
     assert peak < 32 * oscillators + threads * 8 * block + slack
     assert peak < 32 * oscillators + 8 * oscillators

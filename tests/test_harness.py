@@ -444,7 +444,9 @@ def test_outcomes_do_not_depend_on_the_block_size_or_jobs(monkeypatch, game_name
             return play(task)
 
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "_BLOCK_FADING_BYTES", block * channel.fading_bytes(cfg))
+            # a pool's blocks count their records too
+            records = cfg.stages * cfg.num_pairs * RECORD_DTYPE.itemsize if jobs > 1 else 0
+            patch.setattr(harness, "_BLOCK_BYTES", block * (channel.fading_bytes(cfg) + records))
             if jobs == 1:   # a pool worker plays the module's own _run_block
                 patch.setattr(harness, "_run_block", counted)
             trajectories = run_experiment(cfg, game_name, jobs=jobs)[1]
@@ -496,6 +498,20 @@ def test_pool_never_gets_more_workers_than_repetitions(monkeypatch):
     assert len(trajectories) == 3
 
 
+@pytest.mark.parametrize("jobs, blocks", [(1, [200]), (2, [6] * 33 + [2])])
+def test_a_pool_worker_block_is_capped_by_its_records(monkeypatch, jobs, blocks):
+    # A frozen channel's fading is one frame, so its records set the blocks of
+    # a pool's workers: 4 MiB // (24**2 * 8 + 600 * 24 * 48) = 6 repetitions.
+    # At jobs=1 the records stay in the parent anyway, and one block is faster.
+    inline_pool(monkeypatch)
+    monkeypatch.setattr(channel, "_CORES", 2)
+    played = []
+    monkeypatch.setattr(harness, "_run_block", lambda task: played.append(len(task[2])) or [])
+    monkeypatch.setattr(harness, "summarize", lambda trajectories: None)
+    run_experiment(GameConfig(doppler=0.0, repetitions=200, stages=600), "ubeas", jobs=jobs)
+    assert played == blocks
+
+
 @pytest.mark.parametrize("cores, pools", [(2, [2, 1]), (1, [])])
 def test_pool_never_gets_more_workers_than_usable_cores(monkeypatch, cores, pools):
     # a forking pool would start all of them at once; one core plays serially
@@ -516,7 +532,7 @@ def test_threaded_fading_then_a_forked_pool_in_one_process():
         "from ubeas import channel\n"
         "from ubeas.config import GameConfig\n"
         "from ubeas.harness import run_experiment\n"
-        "channel._BLOCK_OSCILLATORS = 2 * 6 * 16\n"
+        "channel._WHOLE_BLOCK_OSCILLATORS = 2 * 6 * 16   # 5 stages: a whole horizon\n"
         "channel._CORES = 2\n"
         "cfg = GameConfig(num_pairs=6, stages=5, repetitions=2)\n"
         "_, serial = run_experiment(cfg, 'ubeas', jobs=1)\n"
